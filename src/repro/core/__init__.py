@@ -8,9 +8,7 @@ from .engine import (AnalysisConfig, EngineError, ExtractionCache,
                      VerificationEngine, exception_chain,
                      extraction_cache, group_properties, run_extraction,
                      verify_one)
-from .report import (AnalysisReport, PropertyResult, Verdict,
-                     VERDICT_ERROR, VERDICT_NOT_APPLICABLE,
-                     VERDICT_VERIFIED, VERDICT_VIOLATED)
+from .report import AnalysisReport, PropertyResult, Verdict
 from .prochecker import ProChecker, ProCheckerError, analyze_many
 from .dossier import (AttackFinding, Dossier, build_dossier,
                       render_markdown)
@@ -23,8 +21,6 @@ __all__ = [
     "ImplementationRun", "VerificationEngine", "exception_chain",
     "extraction_cache", "group_properties", "run_extraction", "verify_one",
     "AnalysisReport", "PropertyResult", "Verdict",
-    "VERDICT_ERROR", "VERDICT_NOT_APPLICABLE", "VERDICT_VERIFIED",
-    "VERDICT_VIOLATED",
     "ProChecker", "ProCheckerError", "analyze_many",
     "AttackFinding", "Dossier", "build_dossier", "render_markdown",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
@@ -35,13 +34,6 @@ class Verdict(str, enum.Enum):
     ERROR = "error"
 
 
-#: Deprecated string aliases, kept for callers of the pre-enum API.
-VERDICT_VERIFIED = Verdict.VERIFIED
-VERDICT_VIOLATED = Verdict.VIOLATED
-VERDICT_NOT_APPLICABLE = Verdict.NOT_APPLICABLE
-VERDICT_ERROR = Verdict.ERROR
-
-
 @dataclass
 class PropertyResult:
     """Outcome of verifying one property against one implementation."""
@@ -59,15 +51,6 @@ class PropertyResult:
 
     def __post_init__(self):
         self.outcome = Verdict(self.outcome)
-
-    @property
-    def verdict(self) -> str:
-        """Deprecated string alias for :attr:`outcome` (pre-enum API)."""
-        warnings.warn(
-            "PropertyResult.verdict is deprecated; use "
-            "PropertyResult.outcome (a Verdict enum) instead",
-            DeprecationWarning, stacklevel=2)
-        return self.outcome.value
 
     @property
     def violated(self) -> bool:

@@ -1,13 +1,16 @@
-"""Generate ``docs/CLI.md`` and ``docs/lint.md`` from live metadata.
+"""Generate every checked-in document that renders from live metadata.
 
-The exit-code table and the subcommand list render from
-:data:`repro.cli.EXIT_CODE_MEANINGS` and the argparse parser itself,
-and the lint rule table renders from :data:`repro.lint.findings.RULES`
-plus the taint source/sink/sanctioned-flow catalogs, so neither
-document can drift from the code.  Run as ``python -m repro.docgen``
-after editing the CLI or the rule catalog; ``--check`` exits non-zero
-when either checked-in document is stale (the CI static-analysis job
-runs it, alongside ``tests/test_cli.py``).
+- ``docs/CLI.md``: the exit-code table and the subcommand list, from
+  :data:`repro.cli.EXIT_CODE_MEANINGS` and the argparse parser itself;
+- ``docs/lint.md``: the rule table from :data:`repro.lint.findings.RULES`
+  plus the taint source/sink/sanctioned-flow catalogs;
+- ``docs/PROPERTIES.md``: the property catalog
+  (:func:`repro.properties.docgen.render`).
+
+Run ``python -m repro.docgen`` from the repository root after editing
+the CLI, the rule catalog or the property catalog; ``--check`` exits
+non-zero when any checked-in document is stale (the CI static-analysis
+job runs it).
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from .cli import EXIT_CODE_MEANINGS, build_parser
+from .properties.docgen import render as render_properties
 
 
 def _describe_argument(action: argparse.Action) -> str:
@@ -171,26 +175,27 @@ def render_lint() -> str:
     return "\n".join(lines)
 
 
-DEFAULT_OUTPUT = "docs/CLI.md"
-LINT_OUTPUT = "docs/lint.md"
+#: Every generated document: path relative to the repository root, and
+#: the function that renders it.
+DOCUMENTS = (
+    ("docs/CLI.md", render),
+    ("docs/lint.md", render_lint),
+    ("docs/PROPERTIES.md", render_properties),
+)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.docgen",
-        description="regenerate docs/CLI.md and docs/lint.md from "
-                    "live metadata")
+        description="regenerate docs/CLI.md, docs/lint.md and "
+                    "docs/PROPERTIES.md from live metadata (run from the "
+                    "repository root)")
     parser.add_argument("--check", action="store_true",
                         help="do not write; exit 1 if a checked-in "
                              "document is stale")
-    parser.add_argument("-o", "--output", metavar="FILE",
-                        default=DEFAULT_OUTPUT)
-    parser.add_argument("--lint-output", metavar="FILE",
-                        default=LINT_OUTPUT)
     args = parser.parse_args(argv)
 
-    documents = ((args.output, render()),
-                 (args.lint_output, render_lint()))
+    documents = [(path, renderer()) for path, renderer in DOCUMENTS]
     if args.check:
         for path, text in documents:
             try:

@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs, schema
+from ..blobstore import write_json
 from ..lte.implementations import IMPLEMENTATION_NAMES
 from .deviation import Deviation, build_deviation
 from .executor import (CoverageKey, ExecutionResult, fsm_coverage_universe,
@@ -354,22 +355,18 @@ class Fuzzer:
         root = self._corpus_root()
         if root is None:
             return
-        directory = root / "corpus"
-        directory.mkdir(parents=True, exist_ok=True)
         payload = schema.stamp({"digest": digest,
                                 "steps": clone_schedule(steps)})
-        (directory / f"{digest}.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_json(root / "corpus" / f"{digest}.json", payload, pretty=True,
+                   unlink_counter="fuzz.tmp_unlink_failures")
 
     def _persist_deviation(self, deviation: Deviation) -> None:
         root = self._corpus_root()
         if root is None:
             return
-        directory = root / "deviations"
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{deviation.digest}.json").write_text(
-            json.dumps(deviation.to_dict(), indent=2, sort_keys=True)
-            + "\n")
+        write_json(root / "deviations" / f"{deviation.digest}.json",
+                   deviation.to_dict(), pretty=True,
+                   unlink_counter="fuzz.tmp_unlink_failures")
 
 
 def run_campaign(config: FuzzConfig) -> FuzzResult:

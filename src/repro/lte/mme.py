@@ -25,6 +25,7 @@ from .identifiers import Guti, GutiAllocator, Imsi, redact
 from .messages import MessageError, NasMessage
 from .security import (AuthVector, DIR_DOWNLINK, DIR_UPLINK,
                        SecurityContext)
+from .sqn import DEFAULT_SEQ_BITS
 from .timers import SimClock
 
 
@@ -171,8 +172,12 @@ class MmeNas:
         if self.session_imsi is None:
             self._note("unexpected_sync_failure", "no session")
             return
-        self.clock.stop(c.T3460)
         resync_seq = max(0, msg.get_int("resync_seq"))
+        if resync_seq + 1 >= 1 << DEFAULT_SEQ_BITS:
+            # The next vector's SEQ would not fit the 48-bit SQN.
+            self._note("malformed_auts", f"resync_seq {resync_seq}")
+            return
+        self.clock.stop(c.T3460)
         try:
             self.hss.resynchronise(self.session_imsi, resync_seq)
         except HssError:

@@ -23,8 +23,10 @@ from typing import List, Optional, Tuple
 
 #: COTS choice observed in the paper's experiments.
 DEFAULT_IND_BITS = 5
-#: SEQ width; 48-bit SQN total in the standard, irrelevant to behaviour.
-DEFAULT_SEQ_BITS = 43
+#: TS 33.102 fixes the packed ``SEQ || IND`` at 48 bits.
+SQN_BITS = 48
+#: SEQ width at the default IND width.
+DEFAULT_SEQ_BITS = SQN_BITS - DEFAULT_IND_BITS
 
 
 class SqnError(Exception):
@@ -40,8 +42,9 @@ class Sqn:
     ind_bits: int = DEFAULT_IND_BITS
 
     def __post_init__(self):
-        if self.seq < 0:
-            raise SqnError("SEQ must be non-negative")
+        if not 0 <= self.seq < 1 << (SQN_BITS - self.ind_bits):
+            raise SqnError(f"SEQ {self.seq} outside the "
+                           f"{SQN_BITS - self.ind_bits}-bit range")
         if not 0 <= self.ind < (1 << self.ind_bits):
             raise SqnError(f"IND {self.ind} outside 0..{(1 << self.ind_bits) - 1}")
 

@@ -11,16 +11,15 @@ Layers:
 - :mod:`repro.mc.graph` — dense-integer interning of reachable state
   graphs (shared successor expansion + literal truth columns);
 - :mod:`repro.mc.checker` — invariant BFS and on-the-fly nested-DFS
-  Büchi-product LTL checking (plus the materialised reference engine);
-- :mod:`repro.mc.cache` — persistent cross-run verdict cache;
+  Büchi-product LTL checking;
+- :mod:`repro.mc.cache` — persistent cross-run verdict cache (a
+  :class:`repro.blobstore.BlobStore`, like the report store);
 - :mod:`repro.mc.api` — the supported :class:`ModelChecker` facade;
 - :mod:`repro.mc.counterexample` — lasso traces consumed by the CEGAR
   loop.
 
 The supported checking surface is :class:`ModelChecker` /
-:class:`CheckRequest` / :class:`CheckResult`; the legacy module-level
-``check_ltl`` / ``check_invariant`` functions remain as deprecation
-shims.
+:class:`CheckRequest` / :class:`CheckResult`.
 """
 
 from .expr import (And, Compare, Const, Expr, ExprError, FALSE, Not, Or,
@@ -32,9 +31,7 @@ from .buchi import (BuchiAutomaton, buchi_cache_stats, clear_buchi_cache,
                     ltl_to_buchi, normalise_ltl, normalised_key)
 from .model import (Choice, Command, Model, ModelError, Plus, Ref, Variable)
 from .graph import StateGraph
-from .checker import (CheckerError, STRATEGY_MATERIALISED,
-                      STRATEGY_ON_THE_FLY, as_invariant, check_invariant,
-                      check_ltl, check_ltl_materialised, formula_to_expr)
+from .checker import CheckerError, as_invariant, formula_to_expr
 from .counterexample import ADVERSARY_PREFIX, CheckResult, Step, Trace
 from .cache import McCacheError, McVerdictCache, verdict_digest
 from .api import CheckRequest, ModelChecker
@@ -50,9 +47,7 @@ __all__ = [
     "ltl_to_buchi", "normalise_ltl", "normalised_key",
     "Choice", "Command", "Model", "ModelError", "Plus", "Ref", "Variable",
     "StateGraph",
-    "CheckerError", "STRATEGY_MATERIALISED", "STRATEGY_ON_THE_FLY",
-    "as_invariant", "check_invariant", "check_ltl",
-    "check_ltl_materialised", "formula_to_expr",
+    "CheckerError", "as_invariant", "formula_to_expr",
     "ADVERSARY_PREFIX", "CheckResult", "Step", "Trace",
     "McCacheError", "McVerdictCache", "verdict_digest",
     "CheckRequest", "ModelChecker",

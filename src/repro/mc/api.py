@@ -1,8 +1,7 @@
 """The supported model-checking facade: one door into :mod:`repro.mc`.
 
-Callers used to reach around the package — ``check_ltl`` here,
-``check_invariant`` there, ``parse_ltl`` + ``to_smv`` by hand in the
-CLI.  :class:`ModelChecker` collapses those entry points:
+Every check, invariant or LTL, and every SMV export goes through
+:class:`ModelChecker`:
 
     from repro.mc import CheckRequest, ModelChecker
 
@@ -14,9 +13,8 @@ A checker owns the (optional) persistent
 :class:`~repro.mc.cache.McVerdictCache`: when one is attached, every
 check is first looked up under ``(model fingerprint, normalised formula,
 threat digest)`` and a hit returns the stored verdict — counterexample
-included — without touching the state space.  Strategy selection
-(``on_the_fly`` default, ``materialised`` reference) lives here too, so
-the engines in :mod:`repro.mc.checker` stay private.
+included — without touching the state space.  The engines in
+:mod:`repro.mc.checker` stay private behind it.
 
 :class:`CheckRequest` and the returned
 :class:`~repro.mc.counterexample.CheckResult` both carry
@@ -31,8 +29,7 @@ from typing import Dict, Optional, Union
 from .. import schema
 from .buchi import normalised_key
 from .cache import McVerdictCache, verdict_digest
-from .checker import (STRATEGY_MATERIALISED, STRATEGY_ON_THE_FLY,
-                      CheckerError, _check_formula)
+from .checker import _check_formula
 from .counterexample import CheckResult
 from .expr import Expr
 from .ltl import Formula, parse_ltl
@@ -50,15 +47,13 @@ class CheckRequest:
     :class:`~repro.mc.ltl.Formula`.  ``threat_digest`` is an opaque
     component of the persistent-cache key — the CEGAR loop passes the
     digest of the current (possibly refined) threat configuration so
-    distinct refinement stages cache independently.  ``strategy``
-    overrides the checker's engine for this request only.
+    distinct refinement stages cache independently.
     """
 
     formula: Union[str, Formula]
     name: str = "property"
     threat_digest: str = ""
     use_cache: bool = True
-    strategy: Optional[str] = None
 
     def resolved(self, model: Model) -> Formula:
         """The formula, parsed against ``model``'s vocabulary if textual."""
@@ -75,7 +70,6 @@ class CheckRequest:
             "name": self.name,
             "threat_digest": self.threat_digest,
             "use_cache": self.use_cache,
-            "strategy": self.strategy,
         })
 
     @classmethod
@@ -86,7 +80,6 @@ class CheckRequest:
             name=payload.get("name", "property"),
             threat_digest=payload.get("threat_digest", ""),
             use_cache=payload.get("use_cache", True),
-            strategy=payload.get("strategy"),
         )
 
 
@@ -99,12 +92,8 @@ class ModelChecker:
     sets ``mc_cache_dir``).
     """
 
-    def __init__(self, cache: Optional[McVerdictCache] = None,
-                 strategy: str = STRATEGY_ON_THE_FLY):
-        if strategy not in (STRATEGY_ON_THE_FLY, STRATEGY_MATERIALISED):
-            raise CheckerError(f"unknown checking strategy {strategy!r}")
+    def __init__(self, cache: Optional[McVerdictCache] = None):
         self.cache = cache
-        self.strategy = strategy
 
     # ------------------------------------------------------------------
     def check(self, model: Model, request: CheckRequest) -> CheckResult:
@@ -127,8 +116,7 @@ class ModelChecker:
             if cached is not None:
                 cached.property_name = request.name
                 return cached
-        result = _check_formula(model, formula, request.name,
-                                strategy=request.strategy or self.strategy)
+        result = _check_formula(model, formula, request.name)
         if digest is not None:
             self.cache.put(digest, result, key={
                 "model_fingerprint": model.fingerprint(),

@@ -11,10 +11,11 @@ entirely: every CEGAR iteration's check (refined configs get distinct
 digests) is answered from disk, and the run's ``mc.checks`` counter
 stays at zero.
 
-The layout mirrors :class:`repro.store.ResultStore` (this cache is the
-MC-layer sibling of the report-level store and is re-exported from
-:mod:`repro.store`): one schema-stamped JSON file per entry, sharded by
-digest prefix, atomic writes, quarantine-as-miss for corrupted entries.
+Like :class:`repro.store.ResultStore` (its report-level sibling, which
+re-exports it), the cache is a :class:`repro.blobstore.BlobStore`: one
+schema-stamped ``{"digest", "key", "result"}`` JSON file per entry,
+sharded by digest prefix, atomic writes, quarantine-as-miss for entries
+that are corrupted or do not decode to a :class:`CheckResult`.
 Hits/misses/writes are counted in the :mod:`repro.obs` registry only
 (``mc.verdict_cache_*``) — cache warmth is scheduling/state-dependent
 and must not enter the canonical per-property stats.
@@ -23,14 +24,9 @@ and must not enter the canonical per-property stats.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
-import threading
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-from .. import obs, schema
+from ..blobstore import BlobStore
 from .counterexample import CheckResult
 
 __all__ = ["McCacheError", "McVerdictCache", "verdict_digest"]
@@ -52,113 +48,18 @@ def verdict_digest(model_fingerprint: str, formula_key: str,
     return digest.hexdigest()
 
 
-class McVerdictCache:
-    """JSON-on-disk verdict cache, sharded by digest prefix."""
+class McVerdictCache(BlobStore[CheckResult]):
+    """Model-checking verdicts (:class:`CheckResult`) by verdict digest."""
 
-    QUARANTINE = "quarantine"
+    PAYLOAD = "result"
+    COUNTER = "mc.verdict_cache_"
+    ERROR = McCacheError
 
-    def __init__(self, root: os.PathLike):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
+    def _encode(self, value: CheckResult) -> Dict:
+        return value.to_dict()
 
-    # ------------------------------------------------------------------
-    def path_for(self, digest: str) -> Path:
-        if len(digest) < 3 or not all(c in "0123456789abcdef"
-                                      for c in digest):
-            raise McCacheError(f"malformed digest {digest!r}")
-        return self.root / digest[:2] / f"{digest}.json"
-
-    # ------------------------------------------------------------------
-    def put(self, digest: str, result: CheckResult,
-            key: Optional[Dict] = None) -> Path:
-        """File a verdict under its digest (atomic; last writer wins)."""
-        entry = schema.stamp({
-            "digest": digest,
-            "key": key,
-            "result": result.to_dict(),
-        })
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=f".{digest[:8]}-",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True, default=str)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                obs.count("mc.verdict_cache_tmp_unlink_failures")
-            raise
-        obs.count("mc.verdict_cache_writes")
-        return path
-
-    def get(self, digest: str) -> Optional[CheckResult]:
-        """The stored verdict (``from_cache=True``), or ``None`` on a miss.
-
-        A corrupted entry (unparseable JSON, digest mismatch, unknown
-        wire-format major) is quarantined and reported as a miss — a bad
-        file must never fail an analysis or poison future lookups.
-        """
-        path = self.path_for(digest)
-        try:
-            text = path.read_text()
-        except OSError:
-            obs.count("mc.verdict_cache_misses")
-            return None
-        try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict):
-                raise ValueError(f"entry is {type(entry).__name__}, "
-                                 f"not an object")
-            schema.check(entry, "mc cache entry")
-            if entry.get("digest") != digest:
-                raise ValueError(f"digest mismatch: entry says "
-                                 f"{entry.get('digest')!r}")
-            result = CheckResult.from_dict(entry["result"])
-        except (ValueError, KeyError, TypeError,
-                schema.SchemaVersionError) as exc:
-            self._quarantine(path, exc)
-            obs.count("mc.verdict_cache_misses")
-            return None
-        obs.count("mc.verdict_cache_hits")
+    def _decode(self, payload: Dict) -> CheckResult:
+        """The stored verdict, marked ``from_cache=True``."""
+        result = CheckResult.from_dict(payload)
         result.from_cache = True
         return result
-
-    def contains(self, digest: str) -> bool:
-        return self.path_for(digest).exists()
-
-    # ------------------------------------------------------------------
-    def _quarantine(self, path: Path, reason: Exception) -> None:
-        quarantine = self.root / self.QUARANTINE
-        quarantine.mkdir(parents=True, exist_ok=True)
-        target = quarantine / path.name
-        with self._lock:
-            try:
-                os.replace(path, target)
-            except OSError:       # pragma: no cover - already moved/gone
-                obs.count("mc.verdict_cache_quarantine_failures")
-                return
-        obs.count("mc.verdict_cache_quarantined")
-
-    # ------------------------------------------------------------------
-    def digests(self) -> List[str]:
-        """Every digest currently filed (sorted; excludes quarantine)."""
-        found = []
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir() or shard.name == self.QUARANTINE:
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                found.append(entry.stem)
-        return found
-
-    def stats(self) -> Dict[str, int]:
-        quarantined = 0
-        quarantine = self.root / self.QUARANTINE
-        if quarantine.is_dir():
-            quarantined = sum(1 for _ in quarantine.iterdir())
-        return {"entries": len(self.digests()),
-                "quarantined": quarantined}

@@ -7,18 +7,18 @@ facade; this module holds the engines behind it:
   ``G p`` with propositional ``p``, over the model's interned
   :class:`~repro.mc.graph.StateGraph`; returns the shortest violating
   prefix.
-- :class:`_OnTheFlySearch` — full LTL, the default: translate the
-  *negated* formula to a Büchi automaton (:mod:`repro.mc.buchi`,
-  memoised per normalised formula) and run a nested depth-first search
-  (Schwoon–Esparza colouring) over the product *constructed on the fly*.
-  Product nodes are dense ints (``state id * |Q| + q``), entry labels
-  are evaluated through per-literal truth columns, and the search stops
-  at the first accepting cycle — for violated properties only a
-  fraction of the product is ever built.
-- :func:`check_ltl_materialised` — the previous engine (materialise the
-  full reachable product, Tarjan SCC, BFS witness), kept as the
-  independent reference implementation the on-the-fly path is
-  equivalence-tested against.
+- :class:`_OnTheFlySearch` — full LTL: translate the *negated* formula
+  to a Büchi automaton (:mod:`repro.mc.buchi`, memoised per normalised
+  formula) and run a nested depth-first search (Schwoon–Esparza
+  colouring) over the product *constructed on the fly*.  Product nodes
+  are dense ints (``state id * |Q| + q``), entry labels are evaluated
+  through per-literal truth columns, and the search stops at the first
+  accepting cycle — for violated properties only a fraction of the
+  product is ever built.
+
+The independent reference engine this search is equivalence-tested
+against (materialised product, Tarjan SCC, BFS witness) lives with the
+tests, in ``tests/mc/materialised.py``.
 
 The extracted 4G LTE models are small enumerated-domain systems (that is
 the paper's RQ3 point: semantic extraction keeps the model within COTS
@@ -33,9 +33,8 @@ search frontier (outer + nested DFS stack, or the BFS queue).
 
 from __future__ import annotations
 
-import warnings
 from collections import deque
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
 from .buchi import BuchiAutomaton, ltl_to_buchi
@@ -44,10 +43,6 @@ from .expr import And, Const, Expr, Not, Or
 from .graph import StateGraph
 from .ltl import Atom, BinOp, BoolConst, Formula, LTL_FALSE
 from .model import Model
-
-#: Strategy names accepted by the facade / ``_check_formula``.
-STRATEGY_ON_THE_FLY = "on_the_fly"
-STRATEGY_MATERIALISED = "materialised"
 
 
 class CheckerError(Exception):
@@ -330,283 +325,14 @@ def _check_ltl_on_the_fly(model: Model, formula: Formula,
 
 
 # ---------------------------------------------------------------------------
-# Reference engine: fully materialised Büchi product + Tarjan SCC
-# ---------------------------------------------------------------------------
-class _Product:
-    """Reachable synchronous product of model and Büchi automaton."""
-
-    def __init__(self, model: Model, automaton: BuchiAutomaton):
-        self.model = model
-        self.automaton = automaton
-        self.nodes: Dict[Tuple[Tuple, int], int] = {}
-        self.edges: Dict[int, List[Tuple[int, str]]] = {}
-        self.initials: List[int] = []
-        self.model_states_seen: Set[Tuple] = set()
-        self._build()
-
-    def _intern(self, model_key: Tuple, buchi_state: int) -> Tuple[int, bool]:
-        key = (model_key, buchi_state)
-        if key in self.nodes:
-            return self.nodes[key], False
-        node_id = len(self.nodes)
-        self.nodes[key] = node_id
-        self.edges[node_id] = []
-        return node_id, True
-
-    def _build(self) -> None:
-        model = self.model
-        automaton = self.automaton
-        initial = model.initial_state()
-        initial_key = model.key(initial)
-        self.model_states_seen.add(initial_key)
-        worklist: List[Tuple[Tuple, int]] = []
-        for buchi_state in automaton.initial:
-            if automaton.state_satisfies(buchi_state, initial):
-                node_id, fresh = self._intern(initial_key, buchi_state)
-                self.initials.append(node_id)
-                if fresh:
-                    worklist.append((initial_key, buchi_state))
-        while worklist:
-            model_key, buchi_state = worklist.pop()
-            node_id = self.nodes[(model_key, buchi_state)]
-            # successor_items memoises on the model, so properties sharing
-            # a threat-instrumented model also share its state graph.
-            for label, successor_key in model.successor_items(model_key):
-                self.model_states_seen.add(successor_key)
-                successor_state = model.unkey(successor_key)
-                for next_buchi in automaton.successors(buchi_state):
-                    if not automaton.state_satisfies(next_buchi,
-                                                     successor_state):
-                        continue
-                    succ_id, fresh = self._intern(successor_key, next_buchi)
-                    self.edges[node_id].append((succ_id, label))
-                    if fresh:
-                        worklist.append((successor_key, next_buchi))
-
-    def accepting_nodes(self) -> Set[int]:
-        return {node_id for (key, node_id) in
-                ((k, v) for k, v in self.nodes.items())
-                if key[1] in self.automaton.accepting}
-
-    def node_state(self, node_id: int) -> Dict:
-        for (model_key, _buchi), nid in self.nodes.items():
-            if nid == node_id:
-                return self.model.unkey(model_key)
-        raise CheckerError(f"unknown product node {node_id}")
-
-
-def _tarjan_sccs(edges: Dict[int, List[Tuple[int, str]]],
-                 roots: Sequence[int]) -> List[List[int]]:
-    """Iterative Tarjan SCC over the product graph."""
-    index_counter = [0]
-    indices: Dict[int, int] = {}
-    lowlinks: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    sccs: List[List[int]] = []
-
-    for root in roots:
-        if root in indices:
-            continue
-        work: List[Tuple[int, int]] = [(root, 0)]
-        while work:
-            node, child_index = work[-1]
-            if child_index == 0:
-                indices[node] = index_counter[0]
-                lowlinks[node] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = edges.get(node, [])
-            while child_index < len(successors):
-                successor = successors[child_index][0]
-                child_index += 1
-                if successor not in indices:
-                    work[-1] = (node, child_index)
-                    work.append((successor, 0))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlinks[node] = min(lowlinks[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if lowlinks[node] == indices[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                sccs.append(component)
-            if work:
-                parent = work[-1][0]
-                lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-    return sccs
-
-
-def _bfs_path(edges, sources: Sequence[int], targets: Set[int],
-              restrict: Optional[Set[int]] = None,
-              skip_trivial_start: bool = False):
-    """Shortest path (list of (node, label)) from any source to any target."""
-    parents: Dict[int, Optional[Tuple[int, str]]] = {}
-    queue = deque()
-    for source in sources:
-        parents[source] = None
-        queue.append(source)
-        if source in targets and not skip_trivial_start:
-            return _reconstruct(parents, source)
-    while queue:
-        node = queue.popleft()
-        for successor, label in edges.get(node, []):
-            if restrict is not None and successor not in restrict:
-                continue
-            if successor in parents:
-                if successor in targets and skip_trivial_start:
-                    # allow returning to a source through a real edge
-                    chain = _reconstruct(parents, node)
-                    chain.append((successor, label))
-                    return chain
-                continue
-            parents[successor] = (node, label)
-            if successor in targets:
-                return _reconstruct(parents, successor)
-            queue.append(successor)
-    return None
-
-
-def _reconstruct(parents, node):
-    chain = []
-    cursor = node
-    while parents[cursor] is not None:
-        predecessor, label = parents[cursor]
-        chain.append((cursor, label))
-        cursor = predecessor
-    chain.append((cursor, None))
-    chain.reverse()
-    return chain
-
-
-def check_ltl_materialised(model: Model, formula: Formula,
-                           name: str = "property") -> CheckResult:
-    """Reference LTL engine: materialise the product, Tarjan, BFS witness.
-
-    Verdict-equivalent to the on-the-fly search by construction (both
-    decide emptiness of the same product language); kept so the fast
-    path has an independent implementation to be property-tested
-    against.  Witness *shapes* may differ — both satisfy
-    :func:`tests.mc.ltl_semantics.trace_violates`.
-    """
-    for expr in formula.atoms():
-        model.validate_expression(expr)
-
-    invariant = as_invariant(formula)
-    if invariant is not None:
-        return _check_invariant(model, invariant, name)
-
-    with obs.span("mc.check", property=name, mode="ltl") as span:
-        automaton = ltl_to_buchi(formula.negate())
-        product = _Product(model, automaton)
-        accepting = product.accepting_nodes()
-        sccs = _tarjan_sccs(product.edges, product.initials)
-
-        witness_scc: Optional[List[int]] = None
-        for component in sccs:
-            members = set(component)
-            if not (members & accepting):
-                continue
-            if len(component) > 1:
-                witness_scc = component
-                break
-            node = component[0]
-            if any(successor == node
-                   for successor, _ in product.edges[node]):
-                witness_scc = component
-                break
-
-        obs.inc("mc.checks")
-        obs.inc("mc.states_explored", len(product.model_states_seen))
-        obs.inc("mc.product_states", len(product.nodes))
-        obs.inc("mc.buchi_states", len(automaton.states))
-        obs.gauge_max("mc.max_product_states", len(product.nodes))
-
-        result = CheckResult(
-            name, holds=witness_scc is None,
-            states_explored=len(product.model_states_seen),
-            product_states=len(product.nodes),
-            buchi_states=len(automaton.states),
-        )
-        if witness_scc is not None:
-            members = set(witness_scc)
-            target_accepting = members & accepting
-            prefix = _bfs_path(product.edges, product.initials,
-                               target_accepting)
-            if prefix is None:  # pragma: no cover - reachable by SCC
-                raise CheckerError(
-                    "internal error: accepting SCC unreachable")
-            anchor = prefix[-1][0]
-            cycle = _bfs_path(product.edges, [anchor], {anchor},
-                              restrict=members, skip_trivial_start=True)
-            if cycle is None:  # pragma: no cover - cycle exists in SCC
-                raise CheckerError(
-                    "internal error: no cycle in accepting SCC")
-
-            node_states = {}
-            for (model_key, _buchi), node_id in product.nodes.items():
-                node_states.setdefault(node_id, model.unkey(model_key))
-
-            trace = Trace(initial_state=node_states[prefix[0][0]])
-            for node, label in prefix[1:]:
-                trace.steps.append(Step(label, node_states[node]))
-            trace.loop_start = len(trace.steps)
-            for node, label in cycle[1:]:
-                trace.steps.append(Step(label, node_states[node]))
-            # The lasso's final state equals the loop anchor; keep
-            # loop_start pointing at the anchor state index.
-            result.counterexample = trace
-    result.elapsed_seconds = span.duration
-    obs.observe("mc.check_seconds", span.duration)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Dispatch + deprecation shims
+# Dispatch
 # ---------------------------------------------------------------------------
 def _check_formula(model: Model, formula: Formula,
-                   name: str = "property",
-                   strategy: str = STRATEGY_ON_THE_FLY) -> CheckResult:
-    """Validate, take the invariant fast path, dispatch on strategy."""
+                   name: str = "property") -> CheckResult:
+    """Validate, then take the invariant fast path or the LTL search."""
     for expr in formula.atoms():
         model.validate_expression(expr)
     invariant = as_invariant(formula)
     if invariant is not None:
         return _check_invariant(model, invariant, name)
-    if strategy == STRATEGY_MATERIALISED:
-        return check_ltl_materialised(model, formula, name)
-    if strategy != STRATEGY_ON_THE_FLY:
-        raise CheckerError(f"unknown checking strategy {strategy!r}")
     return _check_ltl_on_the_fly(model, formula, name)
-
-
-def check_invariant(model: Model, invariant: Expr,
-                    name: str = "invariant") -> CheckResult:
-    """Deprecated shim — route checks through
-    :class:`repro.mc.ModelChecker` instead."""
-    warnings.warn(
-        "check_invariant() is deprecated; use "
-        "repro.mc.ModelChecker().check(model, CheckRequest(...))",
-        DeprecationWarning, stacklevel=2)
-    return _check_invariant(model, invariant, name)
-
-
-def check_ltl(model: Model, formula: Formula,
-              name: str = "property") -> CheckResult:
-    """Deprecated shim — route checks through
-    :class:`repro.mc.ModelChecker` instead."""
-    warnings.warn(
-        "check_ltl() is deprecated; use "
-        "repro.mc.ModelChecker().check(model, CheckRequest(...))",
-        DeprecationWarning, stacklevel=2)
-    return _check_formula(model, formula, name)

@@ -1,15 +1,12 @@
-"""Generate ``docs/PROPERTIES.md`` from the catalog.
+"""Render ``docs/PROPERTIES.md`` from the catalog.
 
-Run as ``python -m repro.properties.docgen`` after editing the catalog;
-``--check`` exits non-zero when the checked-in document is stale (the CI
-static-analysis job runs it, alongside ``tests/properties/test_docgen.py``).
+``python -m repro.docgen`` writes it, with the other generated docs;
+``--check`` exits non-zero when it is stale.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import List, Optional
+from typing import List
 
 from .catalog import ALL_PROPERTIES
 from .spec import EXTRACTED_VOCAB, KIND_LTL
@@ -23,7 +20,7 @@ def render() -> str:
         "All 62 properties (37 security, 25 privacy) the pipeline "
         "verifies,",
         "generated from `repro.properties.catalog` (regenerate with",
-        "`python -m repro.properties.docgen`).  LTL formulas are shown",
+        "`python -m repro.docgen`).  LTL formulas are shown",
         "instantiated for the extracted-model vocabulary; `testbed` "
         "properties",
         "run the named experiment and apply Dolev-Yao secrecy or",
@@ -60,41 +57,3 @@ def render() -> str:
             lines.append(f"*Detects*: {prop.attack_id}.")
         lines.append("")
     return "\n".join(lines)
-
-
-DEFAULT_OUTPUT = "docs/PROPERTIES.md"
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.properties.docgen",
-        description="regenerate docs/PROPERTIES.md from the catalog")
-    parser.add_argument("--check", action="store_true",
-                        help="do not write; exit 1 if the checked-in "
-                             "document is stale")
-    parser.add_argument("-o", "--output", metavar="FILE",
-                        default=DEFAULT_OUTPUT)
-    args = parser.parse_args(argv)
-
-    text = render()
-    if args.check:
-        try:
-            with open(args.output) as handle:
-                current = handle.read()
-        except OSError as exc:
-            print(f"{args.output} unreadable: {exc}", file=sys.stderr)
-            return 1
-        if current != text:
-            print(f"{args.output} is stale; regenerate with "
-                  f"`python -m repro.properties.docgen`", file=sys.stderr)
-            return 1
-        print(f"{args.output} is up to date")
-        return 0
-    with open(args.output, "w") as handle:
-        handle.write(text)
-    print(f"wrote {args.output}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -22,13 +22,12 @@ Configs that can change verdicts non-reproducibly (an installed fault
 plan) or that hold live callables (a custom ``cases`` suite, non-catalog
 property objects) are **uncacheable** and raise :class:`StoreError`.
 
-Layout: one JSON file per entry, sharded by digest prefix
-(``<root>/ab/abcdef....json``) so directories stay small at millions of
-entries.  Writes are atomic (temp file + ``os.replace``); a corrupted or
-wire-incompatible entry is *quarantined* (moved to ``<root>/quarantine``)
-and reported as a miss instead of crashing the reader.  Hits, misses,
-writes and quarantines are counted in the :mod:`repro.obs` registry
-(``store.*``).
+Layout, atomic writes and quarantine-as-miss are those of
+:class:`repro.blobstore.BlobStore`: one ``{"digest", "key", "report"}``
+JSON envelope per entry at ``<root>/ab/abcdef....json``; a corrupted or
+wire-incompatible entry is moved to ``<root>/quarantine`` and reported
+as a miss instead of crashing the reader.  Hits, misses, writes and
+quarantines are counted in the :mod:`repro.obs` registry (``store.*``).
 """
 
 from __future__ import annotations
@@ -36,14 +35,10 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import os
 import sys
-import tempfile
-import threading
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-from .. import obs, schema
+from ..blobstore import BlobStore
 from ..core.cegar import threat_config_key
 from ..core.engine import AnalysisConfig
 from ..lte.implementations import REGISTRY
@@ -151,112 +146,9 @@ def job_digest(config: AnalysisConfig) -> str:
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
-class ResultStore:
-    """JSON-on-disk content-addressed store, sharded by digest prefix."""
+class ResultStore(BlobStore[Dict]):
+    """Analysis reports (``AnalysisReport.to_dict()``) by job digest."""
 
-    QUARANTINE = "quarantine"
-
-    def __init__(self, root: os.PathLike):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def path_for(self, digest: str) -> Path:
-        if len(digest) < 3 or not all(c in "0123456789abcdef"
-                                      for c in digest):
-            raise StoreError(f"malformed digest {digest!r}")
-        return self.root / digest[:2] / f"{digest}.json"
-
-    # ------------------------------------------------------------------
-    def put(self, digest: str, report_payload: Dict,
-            key: Optional[Dict] = None) -> Path:
-        """File a report under its digest (atomic; last writer wins)."""
-        entry = schema.stamp({
-            "digest": digest,
-            "key": key,
-            "report": report_payload,
-        })
-        path = self.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent,
-                                        prefix=f".{digest[:8]}-",
-                                        suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True, default=str)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                obs.count("store.tmp_unlink_failures")
-            raise
-        obs.count("store.writes")
-        return path
-
-    def get(self, digest: str) -> Optional[Dict]:
-        """The stored report payload, or ``None`` on a miss.
-
-        A corrupted entry (unparseable JSON, digest mismatch, unknown
-        wire-format major) is moved to the quarantine directory and
-        reported as a miss — one bad file must never take the service
-        down or poison future lookups of the same digest.
-        """
-        path = self.path_for(digest)
-        try:
-            text = path.read_text()
-        except OSError:
-            obs.count("store.misses")
-            return None
-        try:
-            entry = json.loads(text)
-            if not isinstance(entry, dict):
-                raise ValueError(f"entry is {type(entry).__name__}, "
-                                 f"not an object")
-            schema.check(entry, "store entry")
-            if entry.get("digest") != digest:
-                raise ValueError(f"digest mismatch: entry says "
-                                 f"{entry.get('digest')!r}")
-            report = entry["report"]
-        except (ValueError, KeyError, schema.SchemaVersionError) as exc:
-            self._quarantine(path, exc)
-            obs.count("store.misses")
-            return None
-        obs.count("store.hits")
-        return report
-
-    def contains(self, digest: str) -> bool:
-        return self.path_for(digest).exists()
-
-    # ------------------------------------------------------------------
-    def _quarantine(self, path: Path, reason: Exception) -> None:
-        quarantine = self.root / self.QUARANTINE
-        quarantine.mkdir(parents=True, exist_ok=True)
-        target = quarantine / path.name
-        with self._lock:
-            try:
-                os.replace(path, target)
-            except OSError:       # pragma: no cover - already moved/gone
-                obs.count("store.quarantine_failures")
-                return
-        obs.count("store.quarantined")
-
-    # ------------------------------------------------------------------
-    def digests(self) -> List[str]:
-        """Every digest currently filed (sorted; excludes quarantine)."""
-        found = []
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir() or shard.name == self.QUARANTINE:
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                found.append(entry.stem)
-        return found
-
-    def stats(self) -> Dict[str, int]:
-        quarantined = 0
-        quarantine = self.root / self.QUARANTINE
-        if quarantine.is_dir():
-            quarantined = sum(1 for _ in quarantine.iterdir())
-        return {"entries": len(self.digests()),
-                "quarantined": quarantined}
+    PAYLOAD = "report"
+    COUNTER = "store."
+    ERROR = StoreError

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import (ProChecker, ProCheckerError, VERDICT_NOT_APPLICABLE,
-                        VERDICT_VERIFIED, VERDICT_VIOLATED)
+from repro.core import ProChecker, ProCheckerError, Verdict
 from repro.properties import property_by_id
 from repro.properties.expected import (NEW_ATTACKS,
                                        PRIOR_DETECTED,
@@ -36,7 +35,7 @@ class TestPipelineBasics:
     def test_single_property_verification(self):
         checker = ProChecker("reference")
         result = checker.verify_property(property_by_id("SEC-37"))
-        assert result.outcome == VERDICT_VERIFIED
+        assert result.outcome == Verdict.VERIFIED
 
 
 class TestDetectionMatrix:
@@ -107,10 +106,10 @@ class TestVerdictQuality:
 
     def test_result_lookup(self, reports):
         result = reports["oai"].result_for("PRIV-08")
-        assert result.outcome == VERDICT_VIOLATED
+        assert result.outcome == Verdict.VIOLATED
         with pytest.raises(KeyError):
             reports["oai"].result_for("NOPE-1")
 
     def test_not_applicable_verdict(self, reports):
         result = reports["reference"].result_for("PRIV-07")
-        assert result.outcome == VERDICT_NOT_APPLICABLE
+        assert result.outcome == Verdict.NOT_APPLICABLE

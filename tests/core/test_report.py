@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core.report import (AnalysisReport, PropertyResult, Verdict,
-                               VERDICT_ERROR, VERDICT_NOT_APPLICABLE,
-                               VERDICT_VERIFIED, VERDICT_VIOLATED)
+from repro.core.report import AnalysisReport, PropertyResult, Verdict
 from repro.properties import property_by_id
 from repro.threat import ThreatConfig
 from repro.properties.spec import Property, KIND_LTL
@@ -21,12 +19,12 @@ def make_report():
                             fsm_summary={"states": 9, "transitions": 40},
                             coverage_percent=100.0)
     report.results.append(PropertyResult(
-        make_property("SEC-A"), VERDICT_VERIFIED, elapsed_seconds=0.1))
+        make_property("SEC-A"), Verdict.VERIFIED, elapsed_seconds=0.1))
     report.results.append(PropertyResult(
-        make_property("SEC-B", attack_id="P1"), VERDICT_VIOLATED,
+        make_property("SEC-B", attack_id="P1"), Verdict.VIOLATED,
         evidence="replay accepted", iterations=2, elapsed_seconds=0.2))
     report.results.append(PropertyResult(
-        make_property("SEC-C", attack_id="P1"), VERDICT_VIOLATED))
+        make_property("SEC-C", attack_id="P1"), Verdict.VIOLATED))
     return report
 
 
@@ -35,12 +33,6 @@ class TestVerdictEnum:
         assert Verdict.VERIFIED.value == "verified"
         assert Verdict.VIOLATED.value == "violated"
         assert Verdict.NOT_APPLICABLE.value == "not-applicable"
-
-    def test_legacy_constants_are_enum_members(self):
-        assert VERDICT_VERIFIED is Verdict.VERIFIED
-        assert VERDICT_VIOLATED is Verdict.VIOLATED
-        assert VERDICT_NOT_APPLICABLE is Verdict.NOT_APPLICABLE
-        assert VERDICT_ERROR is Verdict.ERROR
 
     def test_error_member(self):
         assert Verdict.ERROR.value == "error"
@@ -53,13 +45,6 @@ class TestVerdictEnum:
         result = PropertyResult(make_property(), "violated")
         assert result.outcome is Verdict.VIOLATED
 
-    def test_deprecated_verdict_alias(self):
-        result = PropertyResult(make_property(), Verdict.VERIFIED)
-        with pytest.deprecated_call():
-            value = result.verdict
-        assert value == "verified"
-        assert value == result.outcome.value
-
     def test_to_dict_emits_plain_strings(self):
         # from_dict resolves the property from the catalog, so the
         # round-trip needs a real identifier
@@ -71,18 +56,18 @@ class TestVerdictEnum:
 
 class TestPropertyResult:
     def test_violated_flag(self):
-        result = PropertyResult(make_property(), VERDICT_VIOLATED)
+        result = PropertyResult(make_property(), Verdict.VIOLATED)
         assert result.violated
         assert not PropertyResult(make_property(),
-                                  VERDICT_VERIFIED).violated
+                                  Verdict.VERIFIED).violated
 
     def test_summary_mentions_cegar_iterations(self):
-        result = PropertyResult(make_property(), VERDICT_VERIFIED,
+        result = PropertyResult(make_property(), Verdict.VERIFIED,
                                 iterations=3, elapsed_seconds=1.0)
         assert "3 CEGAR iterations" in result.summary()
 
     def test_summary_quiet_for_single_iteration(self):
-        result = PropertyResult(make_property(), VERDICT_VERIFIED,
+        result = PropertyResult(make_property(), Verdict.VERIFIED,
                                 iterations=1)
         assert "CEGAR" not in result.summary()
 
@@ -119,7 +104,7 @@ class TestAnalysisReport:
     def test_error_partition_and_counts(self):
         report = make_report()
         report.results.append(PropertyResult(
-            make_property("SEC-D"), VERDICT_ERROR,
+            make_property("SEC-D"), Verdict.ERROR,
             evidence="checker error: InjectedFault: boom"))
         assert [r.property.identifier for r in report.errors()] == ["SEC-D"]
         assert report.counts()["errors"] == 1

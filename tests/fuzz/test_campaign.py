@@ -7,10 +7,12 @@ post-hoc labelling, never discovery input.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
-from repro import obs
+from repro import blobstore, obs
 from repro.fuzz import (Deviation, FuzzConfig, FuzzConfigError, FuzzError,
                         Fuzzer, campaign_digest, run_campaign)
 from repro.obs.metrics import diff_snapshots
@@ -122,6 +124,27 @@ class TestPersistence:
         delta = diff_snapshots(before, obs.metrics().snapshot())
         assert delta["counters"].get("fuzz.corpus_loaded") \
             == first.corpus_size
+        assert second.execs == 32
+
+    @pytest.mark.parametrize("directory", ["corpus", "deviations"])
+    def test_failed_write_leaves_no_torn_artifact(self, tmp_path,
+                                                   monkeypatch, directory):
+        root = tmp_path / "fuzz"
+        rename = os.replace
+
+        def crash_before_rename(source, target):
+            if Path(target).parent.name == directory:
+                raise OSError("simulated crash before rename")
+            rename(source, target)
+
+        monkeypatch.setattr(blobstore.os, "replace", crash_before_rename)
+        with pytest.raises(OSError, match="simulated crash"):
+            small_campaign("srsue", budget=96, corpus_dir=str(root))
+        monkeypatch.undo()
+        assert not list((root / directory).glob("*.json"))
+        assert not list((root / directory).glob(".*.tmp"))
+        # A second campaign over the same directory loads what landed.
+        second = small_campaign("srsue", budget=32, corpus_dir=str(root))
         assert second.execs == 32
 
     def test_corrupt_corpus_entry_is_a_typed_error(self, tmp_path):

@@ -96,6 +96,28 @@ class TestAttachFlow:
         assert len(auth_requests) == 2
         assert auth_requests[-1].fields["sqn_seq"] == 31
 
+    @pytest.mark.parametrize("resync_seq, retried", [
+        ((1 << 43) - 2, True),      # the last SEQ the HSS can still mint
+        ((1 << 43) - 1, False),
+        (2 ** 60, False),
+        (2 ** 65, False),           # beyond the wire's 64-bit integers
+    ])
+    def test_out_of_range_resync_is_dropped(self, resync_seq, retried):
+        harness = Harness()
+        harness.link.detach_ue()
+        harness.inject_uplink(c.ATTACH_REQUEST,
+                              imsi=str(harness.subscriber.imsi))
+        harness.mme.recv_auth_sync_failure(NasMessage(
+            name=c.AUTH_SYNC_FAILURE, fields={"resync_seq": resync_seq}))
+        auth_requests = [m for m in
+                         harness.link.captured_messages("downlink")
+                         if m.name == c.AUTHENTICATION_REQUEST]
+        if retried:
+            assert auth_requests[-1].fields["sqn_seq"] == resync_seq + 1
+        else:
+            assert len(auth_requests) == 1
+            assert harness.mme.events[-1].kind == "malformed_auts"
+
     def test_mac_failure_aborts(self):
         harness = Harness()
         harness.link.detach_ue()

@@ -16,9 +16,18 @@ class TestSqn:
         with pytest.raises(SqnError):
             Sqn(seq=1, ind=1 << DEFAULT_IND_BITS)
 
-    def test_negative_rejected(self):
+    @pytest.mark.parametrize("seq, ind_bits", [
+        (-1, DEFAULT_IND_BITS),
+        (1 << 43, DEFAULT_IND_BITS),     # SEQ || IND must fit 48 bits
+        (2 ** 59 + 1, DEFAULT_IND_BITS),
+        (1 << 45, 3),
+    ])
+    def test_out_of_range_seq_rejected(self, seq, ind_bits):
         with pytest.raises(SqnError):
-            Sqn(seq=-1, ind=0)
+            Sqn(seq=seq, ind=0, ind_bits=ind_bits)
+
+    def test_largest_sqn_packs_into_48_bits(self):
+        assert Sqn((1 << 43) - 1, 31).value == (1 << 48) - 1
 
     @given(st.integers(0, 10_000), st.integers(0, 31))
     def test_roundtrip_property(self, seq, ind):

@@ -169,19 +169,3 @@ class TestCrossValidation:
             # the reported counterexample must be genuinely violating
             assert trace_violates(formula, result.counterexample)
 
-
-class TestDeprecatedShims:
-    def test_check_ltl_warns_but_still_answers(self):
-        import repro.mc as mc
-        model = counter_model()
-        with pytest.warns(DeprecationWarning, match="ModelChecker"):
-            result = mc.check_ltl(model, parse_ltl("G (c < 3)", ["c"]))
-        assert not result.holds
-
-    def test_check_invariant_warns_but_still_answers(self):
-        import repro.mc as mc
-        model = counter_model()
-        with pytest.warns(DeprecationWarning, match="ModelChecker"):
-            result = mc.check_invariant(model,
-                                        parse_expr("c <= 3", ["c"]))
-        assert result.holds

@@ -3,15 +3,17 @@
 The two engines explore very different fractions of the product, but the
 question they answer is the same; every verdict must agree, and every
 counterexample either engine reports must violate the formula per the
-independent lasso semantics in :mod:`tests.mc.ltl_semantics`."""
+independent lasso semantics in :mod:`tests.mc.ltl_semantics`.  The
+materialised engine is the test-side reference in
+:mod:`tests.mc.materialised`."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.mc import (Choice, Model, Variable, parse_expr, parse_ltl)
-from repro.mc.checker import (_check_formula, STRATEGY_MATERIALISED,
-                              STRATEGY_ON_THE_FLY)
+from repro.mc.checker import _check_formula
 
 from .ltl_semantics import trace_violates
+from .materialised import check_ltl_materialised
 
 
 @st.composite
@@ -50,10 +52,8 @@ class TestStrategyEquivalence:
     @given(random_models(), st.sampled_from(_FORMULAS))
     def test_verdicts_agree(self, model, text):
         formula = parse_ltl(text, model.variable_names)
-        fly = _check_formula(model, formula, text,
-                             strategy=STRATEGY_ON_THE_FLY)
-        mat = _check_formula(model, formula, text,
-                             strategy=STRATEGY_MATERIALISED)
+        fly = _check_formula(model, formula, text)
+        mat = check_ltl_materialised(model, formula, text)
         assert fly.holds == mat.holds
         if not fly.holds:
             # counterexamples may differ, but both must be genuine
@@ -65,9 +65,7 @@ class TestStrategyEquivalence:
     def test_on_the_fly_never_explores_more_product_states(
             self, model, text):
         formula = parse_ltl(text, model.variable_names)
-        fly = _check_formula(model, formula, text,
-                             strategy=STRATEGY_ON_THE_FLY)
-        mat = _check_formula(model, formula, text,
-                             strategy=STRATEGY_MATERIALISED)
+        fly = _check_formula(model, formula, text)
+        mat = check_ltl_materialised(model, formula, text)
         # the invariant fast path reports 0 product states either way
         assert fly.product_states <= mat.product_states

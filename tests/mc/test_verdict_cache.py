@@ -1,13 +1,15 @@
-"""Persistent MC verdict cache + the ModelChecker facade around it."""
+"""Verdict identity + the ModelChecker facade around the persistent cache.
+
+The cache's store contract (round trip, quarantine, counters) is tested
+once for both digest-sharded stores in ``tests/store/test_store.py``."""
 
 import json
 
 import pytest
 
 from repro.mc import (CheckRequest, CheckResult, McVerdictCache, Model,
-                      ModelChecker, Plus, STRATEGY_MATERIALISED, Variable,
-                      parse_expr, parse_ltl, verdict_digest)
-from repro.mc.checker import CheckerError
+                      ModelChecker, Plus, Variable, parse_expr, parse_ltl,
+                      verdict_digest)
 
 
 def counter_model(name="counter"):
@@ -44,46 +46,7 @@ class TestVerdictDigest:
                 != verdict_digest("a", "bc", ""))
 
 
-class TestMcVerdictCache:
-    def test_round_trip_marks_from_cache(self, tmp_path):
-        cache = McVerdictCache(tmp_path)
-        checker = ModelChecker()
-        model = counter_model()
-        result = checker.check_formula(model, parse_ltl("G (c < 3)",
-                                                        ["c"]))
-        digest = verdict_digest(model.fingerprint(), "k", "")
-        cache.put(digest, result)
-        restored = cache.get(digest)
-        assert restored is not None
-        assert restored.from_cache
-        assert not restored.holds
-        assert restored.counterexample is not None
-        assert (restored.counterexample.to_dict()
-                == result.counterexample.to_dict())
-
-    def test_miss_returns_none(self, tmp_path):
-        assert McVerdictCache(tmp_path).get("ab" * 32) is None
-
-    def test_corrupt_entry_is_quarantined_miss(self, tmp_path):
-        cache = McVerdictCache(tmp_path)
-        digest = "cd" * 32
-        path = cache.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("{not json")
-        assert cache.get(digest) is None
-        assert not path.exists()
-        assert cache.stats()["quarantined"] == 1
-
-    def test_malformed_digest_rejected(self, tmp_path):
-        with pytest.raises(Exception):
-            McVerdictCache(tmp_path).path_for("../escape")
-
-
 class TestModelCheckerFacade:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(CheckerError):
-            ModelChecker(strategy="guess")
-
     def test_cache_hit_skips_exploration(self, tmp_path):
         checker = ModelChecker(cache=McVerdictCache(tmp_path))
         model = counter_model()
@@ -121,11 +84,6 @@ class TestModelCheckerFacade:
                                                   use_cache=False))
         assert not fresh.from_cache
 
-    def test_per_request_strategy_override(self):
-        result = ModelChecker().check(counter_model(), CheckRequest(
-            formula="G F (c = 0)", strategy=STRATEGY_MATERIALISED))
-        assert result.holds
-
     def test_export_smv(self):
         text = ModelChecker().export_smv(counter_model(), CheckRequest(
             formula="G (c <= 3)", name="bound"))
@@ -136,12 +94,15 @@ class TestModelCheckerFacade:
 class TestWireForms:
     def test_check_request_round_trip(self):
         request = CheckRequest(formula="G (c < 3)", name="p",
-                               threat_digest="td", use_cache=False,
-                               strategy=STRATEGY_MATERIALISED)
+                               threat_digest="td", use_cache=False)
         payload = json.loads(json.dumps(request.to_dict()))
         assert "schema_version" in payload
+        assert "strategy" not in payload
         restored = CheckRequest.from_dict(payload)
         assert restored == request
+        # Payloads from before the engine choice was removed still load.
+        assert CheckRequest.from_dict(
+            dict(payload, strategy="materialised")) == request
 
     def test_check_result_round_trip(self):
         result = ModelChecker().check_formula(

@@ -244,6 +244,13 @@ class TestWatchdog:
             assert timed_out.elapsed_seconds() <= 0.8
 
             assert _wait(service, other.job_id).status is JobStatus.DONE
+            # The watchdog publishes TIMEOUT before the same scan spawns
+            # the hung worker's replacement: let that scan finish.
+            deadline = time.monotonic() + 5.0
+            while (_counter_delta(before, obs.metrics().snapshot(),
+                                  "serve.workers_respawned") < 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
             after = obs.metrics().snapshot()
             assert _counter_delta(before, after,
                                   "serve.jobs_timed_out") == 1

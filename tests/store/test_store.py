@@ -1,13 +1,21 @@
-"""Content-addressed result store: identity, round-trip, quarantine."""
+"""Content-addressed result store: identity, round-trip, quarantine.
+
+The store contract runs against both digest-sharded stores: the report
+store and the model-checking verdict cache."""
 
 import json
+from typing import Callable, Dict, List, NamedTuple
 
 import pytest
 
-from repro import schema
+from repro import obs, schema
 from repro.core import AnalysisConfig, AnalysisReport, ProChecker
 from repro.faults import FaultPlan
-from repro.store import (ResultStore, StoreError, catalog_digest,
+from repro.mc import (ModelChecker, Model, Plus, Variable, parse_expr,
+                      parse_ltl)
+from repro.obs.metrics import diff_snapshots
+from repro.store import (McCacheError, McVerdictCache, ResultStore,
+                         StoreError, catalog_digest,
                          implementation_fingerprint, job_digest, job_key)
 
 SMALL = ["SEC-01", "SEC-02"]
@@ -63,80 +71,159 @@ class TestJobIdentity:
         assert "jobs" not in key
 
 
-class TestResultStore:
-    def _analyze(self, config):
-        return ProChecker.from_config(config).analyze()
+class StoreKind(NamedTuple):
+    """What the contract tests need to know about one store."""
 
-    def test_round_trip(self, tmp_path):
+    store: type
+    error: type
+    payload: str
+    counter: str
+    value: object
+    #: the JSON-comparable form of a stored or read-back value
+    wire: Callable[[object], Dict]
+    #: envelope payloads that must read as quarantined misses
+    bad_payloads: List[object]
+
+
+NON_OBJECTS = [None, [], ["report"], "report", 7]
+
+
+def counter_verdict():
+    model = Model("counter", [Variable("c", tuple(range(4)))], {"c": 0})
+    model.add_command("inc", parse_expr("c < 3", ["c"]),
+                      {"c": Plus("c", 1, 3)})
+    model.add_command("reset", parse_expr("c = 3", ["c"]), {"c": 0})
+    return ModelChecker().check_formula(model,
+                                        parse_ltl("G (c < 3)", ["c"]))
+
+
+@pytest.fixture(scope="module")
+def srsue_report():
+    config = AnalysisConfig("srsue", property_ids=SMALL, jobs=1)
+    return ProChecker.from_config(config).analyze().to_dict()
+
+
+@pytest.fixture(params=["result_store", "mc_cache"])
+def kind(request, srsue_report):
+    if request.param == "result_store":
+        return StoreKind(ResultStore, StoreError, "report", "store.",
+                         srsue_report, lambda report: report, NON_OBJECTS)
+    return StoreKind(
+        McVerdictCache, McCacheError, "result", "mc.verdict_cache_",
+        counter_verdict(),
+        # the stored payload of a fresh check; a hit is marked from_cache
+        lambda result: dict(result.to_dict(), from_cache=False),
+        NON_OBJECTS + [{"holds": True},
+                       {"property_name": "p", "holds": True,
+                        "schema_version": "99.0"}])
+
+
+def write_entry(store, digest, entry):
+    path = store.path_for(digest)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(entry, sort_keys=True, default=str))
+    return path
+
+
+class TestResultStore:
+    """The digest-sharded store contract, for both stores built on it."""
+
+    DIGEST = "ab" * 32
+
+    def test_round_trip(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
+        store.put(self.DIGEST, kind.value, key={"k": 1})
+        assert store.contains(self.DIGEST)
+        assert kind.wire(store.get(self.DIGEST)) == kind.wire(kind.value)
+        assert store.digests() == [self.DIGEST]
+
+    def test_result_report_round_trips_its_verdicts(self, srsue_report,
+                                                    tmp_path):
         store = ResultStore(tmp_path / "store")
         config = AnalysisConfig("srsue", property_ids=SMALL, jobs=1)
-        report = self._analyze(config)
         digest = job_digest(config)
-        store.put(digest, report.to_dict(), key=job_key(config))
-        assert store.contains(digest)
-        payload = store.get(digest)
-        rebuilt = AnalysisReport.from_dict(payload)
-        assert rebuilt.verdict_signature() == report.verdict_signature()
-        assert store.digests() == [digest]
+        store.put(digest, srsue_report, key=job_key(config))
+        rebuilt = AnalysisReport.from_dict(store.get(digest))
+        assert (rebuilt.verdict_signature()
+                == AnalysisReport.from_dict(srsue_report)
+                .verdict_signature())
 
-    def test_miss_returns_none(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
+    def test_miss_returns_none(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
         assert store.get("0" * 64) is None
         assert not store.contains("0" * 64)
 
-    def test_bad_digest_rejected(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        with pytest.raises(StoreError):
+    def test_bad_digest_rejected(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
+        with pytest.raises(kind.error):
             store.path_for("../../etc/passwd")
-        with pytest.raises(StoreError):
+        with pytest.raises(kind.error):
             store.path_for("zz" * 32)
 
-    def test_corrupted_entry_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = AnalysisConfig("srsue", property_ids=SMALL)
-        digest = job_digest(config)
-        store.put(digest, self._analyze(config).to_dict(),
-                  key=job_key(config))
-        path = store.path_for(digest)
-        path.write_text("{ not json")
+    @pytest.mark.parametrize("garbage", [b"{ not json", b"\x80 not utf-8"],
+                             ids=["not-json", "not-utf-8"])
+    def test_corrupted_entry_quarantined(self, kind, tmp_path, garbage):
+        store = kind.store(tmp_path / "store")
+        path = store.put(self.DIGEST, kind.value)
+        path.write_bytes(garbage)
         # A corrupt entry reads as a miss, never as an exception, and is
         # moved aside so the next write can repopulate the slot.
-        assert store.get(digest) is None
+        assert store.get(self.DIGEST) is None
         assert not path.exists()
-        quarantined = list((store.root / "quarantine").iterdir())
-        assert len(quarantined) == 1
+        assert len(list((store.root / "quarantine").iterdir())) == 1
+        assert store.stats()["quarantined"] == 1
 
-    def test_digest_mismatch_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = AnalysisConfig("srsue", property_ids=SMALL)
-        digest = job_digest(config)
-        entry = schema.stamp({"digest": "f" * 64, "key": {},
-                              "report": {"implementation": "srsue"}})
-        path = store.path_for(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(entry))
-        assert store.get(digest) is None
+    def test_digest_mismatch_quarantined(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
+        path = write_entry(store, self.DIGEST, schema.stamp({
+            "digest": "f" * 64, "key": {},
+            kind.payload: kind.wire(kind.value)}))
+        assert store.get(self.DIGEST) is None
         assert not path.exists()
 
-    def test_future_major_entry_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = AnalysisConfig("srsue", property_ids=SMALL)
-        digest = job_digest(config)
-        store.put(digest, self._analyze(config).to_dict(),
-                  key=job_key(config))
-        path = store.path_for(digest)
+    def test_future_major_entry_quarantined(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
+        path = store.put(self.DIGEST, kind.value)
         entry = json.loads(path.read_text())
         entry[schema.SCHEMA_KEY] = "99.0"
         path.write_text(json.dumps(entry))
-        assert store.get(digest) is None
+        assert store.get(self.DIGEST) is None
 
-    def test_stats_count_traffic(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        config = AnalysisConfig("srsue", property_ids=SMALL)
-        digest = job_digest(config)
-        store.get(digest)
-        store.put(digest, self._analyze(config).to_dict(),
-                  key=job_key(config))
-        store.get(digest)
-        stats = store.stats()
-        assert stats["entries"] == 1
+    def test_bad_payload_quarantined(self, kind, tmp_path):
+        # A payload that is not a JSON object, or does not decode, is a
+        # corrupt entry: never a hit, never an exception.
+        store = kind.store(tmp_path / "store")
+        for index, payload in enumerate(kind.bad_payloads):
+            digest = f"{index:02x}" * 32
+            path = write_entry(store, digest, schema.stamp({
+                "digest": digest, "key": None, kind.payload: payload}))
+            assert store.get(digest) is None, payload
+            assert not path.exists()
+        assert store.stats() == {"entries": 0,
+                                 "quarantined": len(kind.bad_payloads)}
+
+    def test_envelope_format_is_stable(self, kind, tmp_path):
+        # The envelope as every earlier release wrote it: compact,
+        # sorted-key JSON of {digest, key, <payload>, schema_version}.
+        store = kind.store(tmp_path / "store")
+        entry = {"digest": self.DIGEST, "key": {"k": 1},
+                 kind.payload: kind.wire(kind.value),
+                 schema.SCHEMA_KEY: "1.2"}
+        path = write_entry(store, self.DIGEST, entry)
+        assert kind.wire(store.get(self.DIGEST)) == kind.wire(kind.value)
+        store.put(self.DIGEST, kind.value, key={"k": 1})
+        assert path.read_text() == json.dumps(
+            dict(entry, **{schema.SCHEMA_KEY: schema.SCHEMA_VERSION}),
+            sort_keys=True, default=str)
+
+    def test_stats_count_traffic(self, kind, tmp_path):
+        store = kind.store(tmp_path / "store")
+        before = obs.metrics().snapshot()
+        store.get(self.DIGEST)
+        store.put(self.DIGEST, kind.value)
+        store.get(self.DIGEST)
+        delta = diff_snapshots(before, obs.metrics().snapshot())["counters"]
+        assert store.stats() == {"entries": 1, "quarantined": 0}
+        assert {name: delta.get(kind.counter + name)
+                for name in ("misses", "writes", "hits")} \
+            == {"misses": 1, "writes": 1, "hits": 1}
