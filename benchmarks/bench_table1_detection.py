@@ -154,18 +154,15 @@ def test_detection_matrix_summary(benchmark):
 
 
 def test_engine_speedup(benchmark):
-    """Parallel engine vs the serial seed-equivalent path.
+    """Parallel engine vs the serial path.
 
-    The serial configuration disables the extraction cache and CEGAR
-    input sharing and pins one worker — the behaviour of the original
-    ``analyze()``.  The engine configuration uses the defaults (all
-    cores, shared caches).  Verdicts must match byte-for-byte; the
-    speedup assertion only fires on multi-core runners, where the
-    process pool carries most of the win.
+    Both sides start from a cleared extraction cache, so each runs the
+    conformance suite once.  The serial configuration pins one worker;
+    the engine configuration uses the default width (all cores).
+    Verdicts must match byte-for-byte; the speedup assertion only fires
+    on multi-core runners, where the process pool carries the win.
     """
-    serial_config = AnalysisConfig("srsue", jobs=1,
-                                   use_extraction_cache=False,
-                                   share_cegar_inputs=False)
+    serial_config = AnalysisConfig("srsue", jobs=1)
     engine_config = AnalysisConfig("srsue")
 
     extraction_cache.clear()

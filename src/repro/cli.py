@@ -169,11 +169,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                             fault_plan=plan,
                             chaos=chaos, chaos_runs=args.chaos_runs,
                             mc_cache_dir=args.mc_cache)
-    try:
-        report = ProChecker.from_config(config).analyze()
-    finally:
-        if plan is not None:
-            faults.clear()
+    report = ProChecker.from_config(config).analyze()
     # A report containing checker errors is still complete (that is the
     # crash-isolation contract) but the exit code must say so.
     status = EXIT_CODES[Verdict.ERROR] if report.errors() else 0
@@ -595,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--group-timeout", type=float, default=None,
                          metavar="SECONDS",
                          help="wall-clock budget per pooled property "
-                              "group (timed-out groups are retried, then "
-                              "completed serially)")
+                              "group (timed-out groups are completed "
+                              "serially in-process)")
     analyze.add_argument("--inject-fault", action="append", default=[],
                          metavar="SITE[@KEY]:KIND[:NTH[:SCOPE]]",
                          help="debug: install a deterministic fault, e.g. "

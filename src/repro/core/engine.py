@@ -5,8 +5,8 @@ implementation FSM is extracted and the core-network model fixed, every
 property verdict is a pure function of ``(UE FSM, MME model, property)``.
 This module exploits that in three layers:
 
-1. a process-wide :class:`ExtractionCache` keyed by ``(implementation,
-   suite fingerprint)``, so benchmarks, CLI commands and repeated
+1. a process-wide :class:`ExtractionCache` keyed by implementation (and
+   chaos spec), so benchmarks, CLI commands and repeated
    :class:`~repro.core.prochecker.ProChecker` instances run the
    conformance suite and Algorithm 1 exactly once per implementation;
 2. per-run sharing of the property-invariant CEGAR inputs via
@@ -27,13 +27,13 @@ order and every verdict is byte-identical to a serial run
 Fault tolerance (the crash-isolation contract): a single property's
 failure must never erase the other 61 verdicts.  Checker exceptions are
 caught at the group boundary and become :attr:`Verdict.ERROR` results
-carrying the exception chain as evidence; crashed or timed-out groups
-are retried with backoff on a rebuilt pool (a dead worker breaks the
-whole ``ProcessPoolExecutor``), and groups that exhaust their retries
-degrade to the in-process serial path, so :meth:`VerificationEngine.verify`
-always returns a complete outcome map.  Retries, timeouts, rebuilds and
+carrying the exception chain as evidence.  The pool runs every group
+once; a group whose worker crashed or that overran its timeout is run
+again in-process once the pool is torn down (a dead worker breaks the
+whole ``ProcessPoolExecutor``), so :meth:`VerificationEngine.verify`
+always returns a complete outcome map.  Crashes, timeouts and
 degradations are counted in the :mod:`repro.obs` metrics registry
-(``engine.group_*`` / ``engine.pool_rebuilds``).  The deterministic
+(``engine.group_*``).  The deterministic
 fault-injection harness (:mod:`repro.faults`) has trip points at
 ``engine.verify_group`` and ``engine.verify_one`` so every one of those
 paths is exercisable on demand.
@@ -41,15 +41,12 @@ paths is exercisable on demand.
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import math
 import multiprocessing
 import os
 import threading
-import time
-import types
-from concurrent.futures import ProcessPoolExecutor, wait as futures_wait
+from concurrent.futures import Future, ProcessPoolExecutor, \
+    wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,8 +85,6 @@ class AnalysisConfig:
     """
 
     implementation: str
-    #: explicit property objects (overrides ``property_ids``/``category``)
-    properties: Optional[Sequence[Property]] = None
     #: select catalog properties by identifier ("SEC-01", ...)
     property_ids: Optional[Sequence[str]] = None
     #: restrict the catalog to "security" or "privacy"
@@ -98,19 +93,8 @@ class AnalysisConfig:
     jobs: Optional[int] = None
     #: CEGAR iteration budget per property
     max_cegar_iterations: int = 8
-    #: reuse conformance runs/extractions across instances (process-wide)
-    use_extraction_cache: bool = True
-    #: share validator + threat models across properties within a run
-    share_cegar_inputs: bool = True
-    #: custom conformance suite (defaults to ``full_suite(implementation)``)
-    cases: Optional[Sequence[TestCase]] = None
     #: wall-clock budget for one pooled property group; ``None`` → no limit
     group_timeout_seconds: Optional[float] = None
-    #: pooled attempts beyond the first before a group degrades to the
-    #: in-process serial fallback
-    max_group_retries: int = 2
-    #: base of the exponential backoff slept before a pooled retry round
-    retry_backoff_seconds: float = 0.05
     #: deterministic fault plan to install for this run (debugging /
     #: resilience testing; see :mod:`repro.faults`)
     fault_plan: Optional[faults.FaultPlan] = None
@@ -128,8 +112,6 @@ class AnalysisConfig:
 
     def resolved_properties(self) -> List[Property]:
         """The property list this configuration selects, catalog order."""
-        if self.properties is not None:
-            return list(self.properties)
         selected = list(ALL_PROPERTIES)
         if self.category is not None:
             if self.category not in (CATEGORY_SECURITY, CATEGORY_PRIVACY):
@@ -153,42 +135,15 @@ class AnalysisConfig:
     # Wire form (the job payload of ``POST /v1/jobs``)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
-        """JSON-ready job payload (round-trips via :meth:`from_dict`).
-
-        Explicit :class:`Property` objects are narrowed to their catalog
-        identifiers; configs carrying non-catalog properties or a custom
-        ``cases`` suite hold live callables and cannot cross a process
-        boundary — serialising one raises :class:`EngineError`.
-        """
-        property_ids = (list(self.property_ids)
-                        if self.property_ids is not None else None)
-        if self.properties is not None:
-            from ..properties import property_by_id
-            for prop in self.properties:
-                try:
-                    catalog_prop = property_by_id(prop.identifier)
-                except KeyError:
-                    catalog_prop = None
-                if catalog_prop is not prop:
-                    raise EngineError(
-                        f"property {prop.identifier!r} is not a catalog "
-                        f"property; only catalog selections serialize")
-            property_ids = [p.identifier for p in self.properties]
-        if self.cases is not None:
-            raise EngineError(
-                "configs with a custom conformance suite (cases=...) "
-                "hold live callables and cannot be serialized")
+        """JSON-ready job payload (round-trips via :meth:`from_dict`)."""
         return schema.stamp({
             "implementation": self.implementation,
-            "property_ids": property_ids,
+            "property_ids": (list(self.property_ids)
+                             if self.property_ids is not None else None),
             "category": self.category,
             "jobs": self.jobs,
             "max_cegar_iterations": self.max_cegar_iterations,
-            "use_extraction_cache": self.use_extraction_cache,
-            "share_cegar_inputs": self.share_cegar_inputs,
             "group_timeout_seconds": self.group_timeout_seconds,
-            "max_group_retries": self.max_group_retries,
-            "retry_backoff_seconds": self.retry_backoff_seconds,
             "fault_plan": (self.fault_plan.to_dict()
                            if self.fault_plan is not None else None),
             "chaos": (self.chaos.to_dict()
@@ -203,7 +158,8 @@ class AnalysisConfig:
 
         Raises :class:`~repro.schema.SchemaVersionError` on an unknown
         wire-format major and :class:`EngineError` on a payload without
-        an implementation.
+        an implementation.  Keys this version does not know (such as the
+        retry and cache switches older payloads carry) are ignored.
         """
         schema.check(payload, "AnalysisConfig")
         implementation = payload.get("implementation")
@@ -217,12 +173,7 @@ class AnalysisConfig:
             category=payload.get("category"),
             jobs=payload.get("jobs"),
             max_cegar_iterations=payload.get("max_cegar_iterations", 8),
-            use_extraction_cache=payload.get("use_extraction_cache", True),
-            share_cegar_inputs=payload.get("share_cegar_inputs", True),
             group_timeout_seconds=payload.get("group_timeout_seconds"),
-            max_group_retries=payload.get("max_group_retries", 2),
-            retry_backoff_seconds=payload.get("retry_backoff_seconds",
-                                              0.05),
             fault_plan=(faults.FaultPlan.from_dict(plan)
                         if plan is not None else None),
             chaos=(ChaosConfig.from_dict(chaos)
@@ -256,10 +207,13 @@ def run_extraction(implementation: str,
                    chaos_runs: int = 1) -> ExtractionRecord:
     """Uncached pipeline front half: conformance run + Algorithm 1.
 
-    With ``chaos`` set and ``chaos_runs >= 2``, the front half becomes a
+    ``cases`` replaces the implementation's full conformance suite (the
+    pipeline always runs the full one; tests drive small suites).  With
+    ``chaos`` set and ``chaos_runs >= 2``, the front half becomes a
     consensus extraction (:func:`repro.extraction.consensus_extract`):
     N distinct-seed perturbed runs merged into a majority machine, with
-    the clean-run FSM (from the shared cache) as the subgraph baseline.
+    the clean-run FSM of the same suite as the subgraph baseline (from
+    the shared cache for the full suite).
     """
     if implementation not in REGISTRY:
         raise EngineError(f"unknown implementation {implementation!r}; "
@@ -269,7 +223,8 @@ def run_extraction(implementation: str,
     table = table_for_implementation(ue_class)
     stability: Optional[StabilityReport] = None
     if chaos is not None and chaos_runs >= 2:
-        clean = extraction_cache.get(implementation, cases)
+        clean = (extraction_cache.get(implementation) if cases is None
+                 else run_extraction(implementation, cases))
         consensus = consensus_extract(implementation, chaos, chaos_runs,
                                       cases=suite, clean_fsm=clean.fsm)
         fsm = consensus.fsm
@@ -300,53 +255,12 @@ def run_extraction(implementation: str,
     )
 
 
-def _stable_code_bytes(code: types.CodeType) -> bytes:
-    """Deterministic byte rendering of a code object (no addresses)."""
-    parts: List[bytes] = [code.co_code]
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            parts.append(_stable_code_bytes(const))
-        else:
-            parts.append(repr(const).encode())
-    parts.append(" ".join(code.co_names).encode())
-    return b"\x00".join(parts)
-
-
-def _callable_fingerprint(fn) -> Tuple:
-    """Content-derived identity of a test-case ``run`` callable.
-
-    ``__qualname__`` alone collides for lambdas/partials defined at the
-    same site, so the fingerprint also digests the bytecode, constants,
-    defaults and closure-cell values — two behaviourally different
-    callables sharing a qualname get distinct cache keys.
-    """
-    if isinstance(fn, functools.partial):
-        return ("partial", _callable_fingerprint(fn.func),
-                repr(fn.args), repr(sorted((fn.keywords or {}).items())))
-    qualname = getattr(fn, "__qualname__", None)
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return (qualname or repr(fn),)
-    digest = hashlib.sha256(_stable_code_bytes(code))
-    digest.update(repr(getattr(fn, "__defaults__", None)).encode())
-    for cell in getattr(fn, "__closure__", None) or ():
-        try:
-            digest.update(repr(cell.cell_contents).encode())
-        except ValueError:          # pragma: no cover - unset cell
-            digest.update(b"<empty-cell>")
-    bound_self = getattr(fn, "__self__", None)
-    if bound_self is not None:
-        digest.update(repr(bound_self).encode())
-    return (qualname, digest.hexdigest())
-
-
 class ExtractionCache:
     """Process-wide memo of conformance runs and extracted models.
 
-    Keyed by ``(implementation, suite fingerprint)``: the default suite
-    fingerprints by name, a custom ``cases`` list by its case identities
-    plus a content digest of each ``run`` callable, so passing a
-    different suite invalidates naturally.  The ``conformance_runs``
+    Keyed by implementation plus, for chaos runs, the chaos spec and the
+    consensus width; every entry is an extraction of the full
+    conformance suite.  The ``conformance_runs``
     counter exists so callers (and tests) can assert that a full
     analysis executes exactly one conformance run per implementation.
 
@@ -354,8 +268,6 @@ class ExtractionCache:
     extracting different implementations proceed in parallel and only
     same-key callers block on one build (then share its record).
     """
-
-    _DEFAULT_SUITE = "__default_suite__"
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -366,20 +278,13 @@ class ExtractionCache:
 
     @classmethod
     def fingerprint(cls, implementation: str,
-                    cases: Optional[Sequence[TestCase]] = None,
                     chaos: Optional[ChaosConfig] = None,
                     chaos_runs: int = 1) -> Tuple:
-        if cases is None:
-            key: Tuple = (implementation, cls._DEFAULT_SUITE)
-        else:
-            key = (implementation, tuple(
-                (case.identifier, _callable_fingerprint(case.run))
-                for case in cases))
-        if chaos is not None:
-            # ChaosConfig is a frozen dataclass of hashable fields, so
-            # the instance itself is a sound cache-key component.
-            key = key + ("chaos", chaos, chaos_runs)
-        return key
+        if chaos is None:
+            return (implementation,)
+        # ChaosConfig is a frozen dataclass of hashable fields, so the
+        # instance itself is a sound cache-key component.
+        return (implementation, "chaos", chaos, chaos_runs)
 
     def _lookup(self, key: Tuple) -> Optional[ExtractionRecord]:
         with self._lock:
@@ -390,10 +295,9 @@ class ExtractionCache:
             return record
 
     def get(self, implementation: str,
-            cases: Optional[Sequence[TestCase]] = None,
             chaos: Optional[ChaosConfig] = None,
             chaos_runs: int = 1) -> ExtractionRecord:
-        key = self.fingerprint(implementation, cases, chaos, chaos_runs)
+        key = self.fingerprint(implementation, chaos, chaos_runs)
         record = self._lookup(key)
         if record is not None:
             return record
@@ -407,7 +311,7 @@ class ExtractionCache:
             if record is not None:
                 return record
             obs.count("extraction.cache_misses")
-            record = run_extraction(implementation, cases, chaos=chaos,
+            record = run_extraction(implementation, chaos=chaos,
                                     chaos_runs=chaos_runs)
             with self._lock:
                 self.conformance_runs += 1
@@ -585,11 +489,12 @@ class ImplementationRun:
     ue_fsm: FiniteStateMachine
     mme_model: FiniteStateMachine
     properties: Sequence[Property]
+    #: the in-process CEGAR context (e.g. a ProChecker's persistent one),
+    #: used by the serial path and by groups that fall back from the pool
+    context: CegarContext
     max_iterations: int = 8
-    #: serial mode reuses this context (e.g. a ProChecker's persistent one)
-    context: Optional[CegarContext] = None
     #: persistent MC verdict cache directory, propagated to the contexts
-    #: built in pool workers and fallback paths (``None`` → off)
+    #: built in pool workers (``None`` → off)
     mc_cache_dir: Optional[str] = None
 
 
@@ -605,9 +510,7 @@ def _init_worker(payloads: Dict[str, Tuple],
     # so the worker records only its own work, as fresh root spans the
     # parent can adopt back.  The fault plan is re-installed explicitly
     # (covering non-fork start methods) and its call counters zeroed, so
-    # every fresh worker counts k-th-call triggers from zero — which is
-    # what makes a persistent fault re-fire deterministically after a
-    # pool rebuild.
+    # every worker counts k-th-call triggers from zero.
     obs.reset()
     faults.install(faults.FaultPlan.from_dict(fault_plan)
                    if fault_plan is not None else None)
@@ -645,6 +548,21 @@ def _verify_group(task: Tuple[str, List[Property]]
     return results, spans, obs.metrics().drain()
 
 
+def _verify_in_process(run: ImplementationRun, props: Sequence[Property]
+                       ) -> Dict[Tuple[str, str], PropertyResult]:
+    """Verify ``props`` of ``run`` in this process, one after another.
+
+    Serves both the serial path and groups that failed in the pool; the
+    group-boundary catch applies here too, so even a deterministic
+    in-process failure yields ``Verdict.ERROR`` rows rather than
+    aborting the run.
+    """
+    return {(run.implementation, prop.identifier):
+            _safe_verify_one(prop, run.implementation, run.ue_fsm,
+                             run.mme_model, run.max_iterations, run.context)
+            for prop in props}
+
+
 class VerificationEngine:
     """Fans property groups out over a process pool (or runs serially).
 
@@ -652,26 +570,21 @@ class VerificationEngine:
     no pool, no pickling — which is also the deterministic baseline the
     parallel path is validated against.
 
-    The pooled path is fault-tolerant: per-task futures with an optional
-    per-group timeout (``group_timeout``), bounded retries with
-    exponential backoff on a rebuilt pool for crashed/timed-out groups,
-    and graceful degradation to the in-process serial path for groups
-    that exhaust their retries.  Because every verdict is a pure
-    function of its inputs, none of this changes results — a degraded
-    run's verdicts are byte-identical to a clean run's (modulo
-    ``Verdict.ERROR`` rows for properties whose checker deterministically
-    fails everywhere).
+    The pooled path is fault-tolerant: every group is submitted once,
+    with an optional per-group timeout (``group_timeout``).  If a group
+    crashed its worker or overran the timeout, the pool is torn down
+    and each failed group runs in-process under an ``engine.fallback``
+    span.  Because every verdict is a pure function of its inputs, none
+    of this changes results — a degraded run's verdicts are
+    byte-identical to a clean run's (modulo ``Verdict.ERROR`` rows for
+    properties whose checker deterministically fails everywhere).
     """
 
     def __init__(self, jobs: Optional[int] = None,
-                 group_timeout: Optional[float] = None,
-                 max_group_retries: int = 2,
-                 retry_backoff: float = 0.05):
+                 group_timeout: Optional[float] = None):
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
         self.group_timeout = group_timeout
-        self.max_group_retries = max(0, max_group_retries)
-        self.retry_backoff = max(0.0, retry_backoff)
 
     # ------------------------------------------------------------------
     def verify(self, runs: Sequence[ImplementationRun]
@@ -692,7 +605,9 @@ class VerificationEngine:
                          for group in group_properties(run.properties))
 
         if self.jobs <= 1 or len(tasks) <= 1:
-            outcomes = self._verify_serial(runs)
+            outcomes: Dict[Tuple[str, str], PropertyResult] = {}
+            for run in runs:
+                outcomes.update(_verify_in_process(run, run.properties))
         else:
             outcomes = self._verify_pooled(runs, tasks)
 
@@ -702,162 +617,73 @@ class VerificationEngine:
                 for run in runs}
 
     # ------------------------------------------------------------------
-    def _verify_serial(self, runs: Sequence[ImplementationRun]
-                       ) -> Dict[Tuple[str, str], PropertyResult]:
-        outcomes: Dict[Tuple[str, str], PropertyResult] = {}
-        for run in runs:
-            context = run.context or CegarContext(
-                run.ue_fsm, run.mme_model, mc_cache_dir=run.mc_cache_dir)
-            for prop in run.properties:
-                outcomes[(run.implementation, prop.identifier)] = \
-                    _safe_verify_one(prop, run.implementation, run.ue_fsm,
-                                     run.mme_model, run.max_iterations,
-                                     context)
-        return outcomes
-
-    # ------------------------------------------------------------------
     def _verify_pooled(self, runs: Sequence[ImplementationRun],
                        tasks: List[Tuple[str, List[Property]]]
                        ) -> Dict[Tuple[str, str], PropertyResult]:
+        """One pooled pass over ``tasks``; failed groups run in-process.
+
+        With a timeout budget the pass gets ``group_timeout`` seconds per
+        scheduling wave (``ceil(groups / workers)``); whatever has not
+        finished by then counts as timed out — a hung worker cannot be
+        cancelled, only torn down with the pool.
+        """
         payloads = {run.implementation:
                     (run.ue_fsm, run.mme_model, run.max_iterations,
                      run.mc_cache_dir)
                     for run in runs}
         plan = faults.installed()
-        plan_payload = plan.to_dict() if plan is not None else None
-        runs_by_impl = {run.implementation: run for run in runs}
+        width = min(self.jobs, len(tasks))
+        pool = ProcessPoolExecutor(
+            max_workers=width, mp_context=self._mp_context(),
+            initializer=_init_worker,
+            initargs=(payloads, plan.to_dict() if plan is not None
+                      else None))
         outcomes: Dict[Tuple[str, str], PropertyResult] = {}
-
-        pending = list(range(len(tasks)))
-        attempts = {index: 0 for index in pending}
-        pool: Optional[ProcessPoolExecutor] = None
+        failed: List[Tuple[str, List[Property]]] = []
         try:
-            while pending:
-                if pool is None:
-                    pool = ProcessPoolExecutor(
-                        max_workers=min(self.jobs, len(pending)),
-                        mp_context=self._mp_context(),
-                        initializer=_init_worker,
-                        initargs=(payloads, plan_payload))
-                completed, failures = self._run_round(
-                    pool, [(index, tasks[index]) for index in pending])
-                for index, (group_results, spans, metrics) in \
-                        completed.items():
+            futures: List[Optional[Future]] = []
+            for task in tasks:
+                try:
+                    futures.append(pool.submit(_verify_group, task))
+                except BrokenProcessPool:
+                    # A worker died before this group was submitted.
+                    futures.append(None)
+            submitted = [future for future in futures if future is not None]
+            timeout = None
+            if self.group_timeout is not None:
+                timeout = (self.group_timeout
+                           * math.ceil(len(submitted) / width))
+            _, late = futures_wait(submitted, timeout=timeout)
+            for task, future in zip(tasks, futures):
+                if future in late:
+                    obs.count("engine.group_timeouts")
+                elif future is None or future.exception() is not None:
+                    obs.count("engine.group_crashes")
+                else:
+                    group_results, spans, metrics = future.result()
                     obs.adopt_spans(spans)
                     obs.metrics().merge(metrics)
-                    implementation = tasks[index][0]
                     for identifier, result in group_results:
-                        outcomes[(implementation, identifier)] = result
+                        outcomes[(task[0], identifier)] = result
+                    continue
+                failed.append(task)
+        except BaseException:
+            self._teardown_pool(pool)
+            raise
+        if failed:
+            # The pool may hold hung or dead workers (a broken pool
+            # refuses further submissions anyway).
+            self._teardown_pool(pool)
+        else:
+            pool.shutdown(wait=True)
 
-                retry: List[int] = []
-                degrade: List[int] = []
-                for index, reason in failures:
-                    attempts[index] += 1
-                    obs.count("engine.group_crashes" if reason == "crash"
-                              else "engine.group_timeouts")
-                    if attempts[index] > self.max_group_retries:
-                        degrade.append(index)
-                    else:
-                        obs.count("engine.group_retries")
-                        retry.append(index)
-                if failures:
-                    # The pool may hold hung or dead workers — the only
-                    # safe recovery is a teardown + rebuild (a broken
-                    # ProcessPoolExecutor refuses further submissions
-                    # anyway), after a bounded backoff.
-                    self._teardown_pool(pool)
-                    pool = None
-                    obs.count("engine.pool_rebuilds")
-                    if retry and self.retry_backoff > 0:
-                        worst = max(attempts[index] for index, _ in
-                                    failures)
-                        time.sleep(min(1.0, self.retry_backoff
-                                       * (2 ** (worst - 1))))
-                for index in degrade:
-                    obs.count("engine.group_degradations")
-                    implementation, props = tasks[index]
-                    outcomes.update(self._verify_group_fallback(
-                        runs_by_impl[implementation], props))
-                # Keep submission order stable across rounds so retried
-                # groups land on workers deterministically.
-                pending = sorted(retry)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        return outcomes
-
-    def _run_round(self, pool: ProcessPoolExecutor,
-                   batch: List[Tuple[int, Tuple[str, List[Property]]]]
-                   ) -> Tuple[Dict[int, Tuple], List[Tuple[int, str]]]:
-        """Submit one round of groups; classify every entry's fate.
-
-        Returns ``(completed, failures)`` where ``completed`` maps the
-        task index to the worker payload and ``failures`` lists
-        ``(index, "crash" | "timeout")`` entries.  A round with a
-        timeout budget gives the batch ``group_timeout`` seconds per
-        scheduling wave (``ceil(batch / workers)``); whatever has not
-        finished by then is failed as a timeout — a hung worker cannot
-        be cancelled, only torn down with the pool.
-        """
-        futures: Dict = {}
-        failures: List[Tuple[int, str]] = []
-        completed: Dict[int, Tuple] = {}
-        for position, (index, task) in enumerate(batch):
-            try:
-                futures[pool.submit(_verify_group, task)] = index
-            except BrokenProcessPool:
-                failures.extend((pending_index, "crash")
-                                for pending_index, _ in batch[position:])
-                break
-
-        deadline = None
-        if self.group_timeout is not None:
-            width = max(1, min(self.jobs, len(batch)))
-            waves = math.ceil(len(futures) / width) if futures else 1
-            deadline = time.monotonic() + self.group_timeout * waves
-
-        not_done = set(futures)
-        while not_done:
-            timeout = None
-            if deadline is not None:
-                timeout = max(0.0, deadline - time.monotonic())
-            done, not_done = futures_wait(not_done, timeout=timeout)
-            for future in done:
-                index = futures[future]
-                try:
-                    completed[index] = future.result()
-                except Exception:  # noqa: BLE001 - crashed worker/group
-                    failures.append((index, "crash"))
-            if not done and not_done:
-                # Deadline expired with groups still queued or running.
-                for future in not_done:
-                    future.cancel()
-                    failures.append((futures[future], "timeout"))
-                break
-        return completed, failures
-
-    def _verify_group_fallback(self, run: ImplementationRun,
-                               props: Sequence[Property]
-                               ) -> Dict[Tuple[str, str], PropertyResult]:
-        """Degraded mode: verify a group in-process, serially.
-
-        Reached when a group exhausted its pooled retries.  Runs under
-        the same group-boundary catch as the workers, so even a
-        deterministic in-process failure yields ``Verdict.ERROR`` rows
-        rather than aborting the run.
-        """
-        if run.context is None:
-            run.context = CegarContext(run.ue_fsm, run.mme_model,
-                                       mc_cache_dir=run.mc_cache_dir)
-        outcomes: Dict[Tuple[str, str], PropertyResult] = {}
-        with obs.span("engine.fallback",
-                      implementation=run.implementation,
-                      group=props[0].identifier):
-            for prop in props:
-                outcomes[(run.implementation, prop.identifier)] = \
-                    _safe_verify_one(prop, run.implementation, run.ue_fsm,
-                                     run.mme_model, run.max_iterations,
-                                     run.context)
+        runs_by_impl = {run.implementation: run for run in runs}
+        for implementation, props in failed:
+            obs.count("engine.group_degradations")
+            with obs.span("engine.fallback", implementation=implementation,
+                          group=props[0].identifier):
+                outcomes.update(_verify_in_process(
+                    runs_by_impl[implementation], props))
         return outcomes
 
     @staticmethod

@@ -25,7 +25,7 @@ or analyse several implementations through one shared pool::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from .. import faults, obs
 from ..baselines import lteinspector_mme
@@ -36,7 +36,7 @@ from ..obs.metrics import diff_snapshots
 from ..properties.spec import Property
 from .cegar import CegarContext
 from .engine import (AnalysisConfig, ImplementationRun, VerificationEngine,
-                     extraction_cache, run_extraction, verify_one)
+                     extraction_cache, verify_one)
 from .report import AnalysisReport, PropertyResult
 
 
@@ -86,105 +86,65 @@ class ProChecker:
     # ------------------------------------------------------------------
     # Stage 1+2: conformance run and model extraction
     # ------------------------------------------------------------------
-    def extract(self, cases=None) -> FiniteStateMachine:
+    def extract(self) -> FiniteStateMachine:
         """Run the conformance suite under instrumentation and extract
         the implementation FSM.
 
-        Goes through the process-wide extraction cache (unless the
-        config disables it), so repeated instances — and the other
-        implementations of an :func:`analyze_many` batch — share one
-        conformance run each.  Cached on the instance after the first
-        call; passing ``cases`` re-extracts from that custom suite.
+        Goes through the process-wide extraction cache, so repeated
+        instances — and the other implementations of an
+        :func:`analyze_many` batch — share one conformance run each.
+        Cached on the instance after the first call.
         """
-        if self._extracted is not None and cases is None:
+        if self._extracted is not None:
             return self._extracted
-        suite = cases if cases is not None else self.config.cases
         with obs.span("pipeline.extract",
                       implementation=self.implementation):
-            if self.config.use_extraction_cache:
-                record = extraction_cache.get(
-                    self.implementation, suite,
-                    chaos=self.config.chaos,
-                    chaos_runs=self.config.chaos_runs)
-            else:
-                record = run_extraction(
-                    self.implementation, suite,
-                    chaos=self.config.chaos,
-                    chaos_runs=self.config.chaos_runs)
+            record = extraction_cache.get(
+                self.implementation, chaos=self.config.chaos,
+                chaos_runs=self.config.chaos_runs)
         self._extracted = record.fsm
         self._extraction_seconds = record.extraction_seconds
         self._coverage_percent = record.coverage_percent
         self._conformance_cases = record.conformance_cases
         self._log_lines = record.log_lines
         self._stability = record.stability
-        self._context = None   # bound to the previous extraction
         return record.fsm
 
     # ------------------------------------------------------------------
     # Stage 3+4: verification
     # ------------------------------------------------------------------
-    def _cegar_context(self,
-                      ue_fsm: FiniteStateMachine
-                      ) -> Optional[CegarContext]:
-        if not self.config.share_cegar_inputs:
-            return None
+    def _cegar_context(self) -> CegarContext:
         if self._context is None:
             self._context = CegarContext(
-                ue_fsm, self.mme_model,
+                self.extract(), self.mme_model,
                 mc_cache_dir=self.config.mc_cache_dir)
         return self._context
 
     def verify_property(self, prop: Property) -> PropertyResult:
         """Verify a single property against the extracted model."""
-        ue_fsm = self.extract()
-        return verify_one(prop, self.implementation, ue_fsm,
+        return verify_one(prop, self.implementation, self.extract(),
                           self.mme_model,
                           self.config.max_cegar_iterations,
-                          self._cegar_context(ue_fsm))
+                          self._cegar_context())
+
+    def _implementation_run(self) -> ImplementationRun:
+        return ImplementationRun(
+            implementation=self.implementation,
+            ue_fsm=self.extract(),
+            mme_model=self.mme_model,
+            properties=self.config.resolved_properties(),
+            context=self._cegar_context(),
+            max_iterations=self.config.max_cegar_iterations,
+            mc_cache_dir=self.config.mc_cache_dir,
+        )
 
     # ------------------------------------------------------------------
     # Stage 5: the full run
     # ------------------------------------------------------------------
-    def analyze(self, properties: Optional[Sequence[Property]] = None,
-                jobs: Optional[int] = None) -> AnalysisReport:
-        """Verify every property the config selects (default: all 62).
-
-        ``properties``/``jobs`` override the config for this call only.
-        """
-        before = obs.metrics().snapshot()
-        if self.config.fault_plan is not None:
-            faults.install(self.config.fault_plan)
-        with obs.span("pipeline.analyze",
-                      implementation=self.implementation) as root:
-            ue_fsm = self.extract()
-            selected = (list(properties) if properties is not None
-                        else self.config.resolved_properties())
-            engine = VerificationEngine(
-                jobs if jobs is not None else self.config.resolved_jobs(),
-                group_timeout=self.config.group_timeout_seconds,
-                max_group_retries=self.config.max_group_retries,
-                retry_backoff=self.config.retry_backoff_seconds)
-            run = ImplementationRun(
-                implementation=self.implementation,
-                ue_fsm=ue_fsm,
-                mme_model=self.mme_model,
-                properties=selected,
-                max_iterations=self.config.max_cegar_iterations,
-                context=self._cegar_context(ue_fsm),
-                mc_cache_dir=self.config.mc_cache_dir,
-            )
-            with obs.span("pipeline.verify",
-                          implementation=self.implementation,
-                          jobs=engine.jobs) as vspan:
-                results = engine.verify([run])[self.implementation]
-        report = self._report_skeleton(engine.jobs)
-        report.results = results
-        report.verification_seconds = vspan.duration
-        report.elapsed_seconds = root.duration
-        report.stats = PipelineStats.collect(
-            root, results, self.implementation, engine.jobs,
-            diff_snapshots(before, obs.metrics().snapshot()))
-        return report
+    def analyze(self) -> AnalysisReport:
+        """Verify every property the config selects (default: all 62)."""
+        reports = _analyze([self], self.config.resolved_jobs())
+        return reports[self.implementation]
 
     def _report_skeleton(self, jobs: int) -> AnalysisReport:
         return AnalysisReport(
@@ -219,43 +179,41 @@ def analyze_many(configs: Sequence[ConfigLike],
                 else AnalysisConfig(implementation=config)
                 for config in configs]
     checkers = [ProChecker.from_config(config) for config in resolved]
-    before = obs.metrics().snapshot()
-    # Robustness knobs for the one shared engine come from the first
-    # config that sets each of them (``None``/default elsewhere).
-    group_timeout = next((c.group_timeout_seconds for c in resolved
+    return _analyze(checkers, jobs if jobs is not None
+                    else max(config.resolved_jobs() for config in resolved))
+
+
+def _analyze(checkers: Sequence[ProChecker],
+             jobs: int) -> Dict[str, AnalysisReport]:
+    """The one analysis body: extract each checker, verify them all in
+    one engine invocation, and assemble one report per implementation.
+
+    The shared engine takes its group timeout and fault plan from the
+    first config that sets each.  The fault plan is installed for this
+    analysis only; without one, whatever plan is installed process-wide
+    (``repro serve --inject-fault``) is left alone, counters included.
+    """
+    configs = [checker.config for checker in checkers]
+    group_timeout = next((c.group_timeout_seconds for c in configs
                           if c.group_timeout_seconds is not None), None)
-    max_group_retries = next((c.max_group_retries for c in resolved
-                              if c.max_group_retries != 2), 2)
-    retry_backoff = next((c.retry_backoff_seconds for c in resolved
-                          if c.retry_backoff_seconds != 0.05), 0.05)
-    plan = next((c.fault_plan for c in resolved
+    plan = next((c.fault_plan for c in configs
                  if c.fault_plan is not None), None)
+    previous_plan = faults.installed()
     if plan is not None:
         faults.install(plan)
-    batch = ",".join(checker.implementation for checker in checkers)
-    with obs.span("pipeline.analyze", implementation=batch) as root:
-        runs: List[ImplementationRun] = []
-        for checker in checkers:
-            ue_fsm = checker.extract()
-            runs.append(ImplementationRun(
-                implementation=checker.implementation,
-                ue_fsm=ue_fsm,
-                mme_model=checker.mme_model,
-                properties=checker.config.resolved_properties(),
-                max_iterations=checker.config.max_cegar_iterations,
-                context=checker._cegar_context(ue_fsm),
-                mc_cache_dir=checker.config.mc_cache_dir,
-            ))
-        engine = VerificationEngine(
-            jobs if jobs is not None
-            else max(config.resolved_jobs() for config in resolved),
-            group_timeout=group_timeout,
-            max_group_retries=max_group_retries,
-            retry_backoff=retry_backoff)
-        with obs.span("pipeline.verify", implementation=batch,
-                      jobs=engine.jobs) as vspan:
-            outcomes = engine.verify(runs)
-    metrics_delta = diff_snapshots(before, obs.metrics().snapshot())
+    try:
+        before = obs.metrics().snapshot()
+        batch = ",".join(checker.implementation for checker in checkers)
+        with obs.span("pipeline.analyze", implementation=batch) as root:
+            runs = [checker._implementation_run() for checker in checkers]
+            engine = VerificationEngine(jobs, group_timeout=group_timeout)
+            with obs.span("pipeline.verify", implementation=batch,
+                          jobs=engine.jobs) as vspan:
+                outcomes = engine.verify(runs)
+        metrics_delta = diff_snapshots(before, obs.metrics().snapshot())
+    finally:
+        if plan is not None:
+            faults.install(previous_plan)
 
     reports: Dict[str, AnalysisReport] = {}
     for checker in checkers:

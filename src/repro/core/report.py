@@ -21,7 +21,7 @@ class Verdict(str, enum.Enum):
     typed source of truth.
 
     ``ERROR`` is the crash-isolation outcome: the checker itself failed
-    (exception, worker crash, exhausted retries) for this property, and
+    (an exception raised while checking this property), and
     the exception chain is recorded in the result's ``evidence``.  It is
     never a statement about the implementation — the paper's Table I
     requires every property to receive *a* verdict, so an engine fault

@@ -16,16 +16,15 @@ dependency-free layer:
 - a :class:`FaultPlan` bundles specs and is installed process-wide
   (:func:`install`); pool workers re-install the parent's plan and
   reset their call counters in the pool initializer, so the k-th call
-  is counted per process and re-fires deterministically in every
-  rebuilt worker;
+  is counted per process and fires deterministically in every worker;
 - production code marks injection points with :func:`trip`, which is a
   single ``is None`` check when no plan is installed — zero overhead in
   normal operation.
 
 Scoping: a spec with ``scope="worker"`` (the default) only fires inside
 pool worker processes, never in the main process — that is what lets the
-engine's in-process serial fallback *complete* a group whose worker
-attempts persistently crashed or hung.  ``scope="all"`` fires
+engine's in-process fallback *complete* a group whose worker crashed
+or hung.  ``scope="all"`` fires
 everywhere, which exercises the catch-at-the-group-boundary path that
 turns checker exceptions into ``Verdict.ERROR`` results.
 """

@@ -275,15 +275,17 @@ def _policy_defaults() -> Dict[str, object]:
     return defaults
 
 
-def _deviant_flags(implementation: str) -> Tuple[str, ...]:
-    """Policy flags an implementation's factory sets away from default."""
-    ue_class = REGISTRY[implementation]
-    module = inspect.getmodule(ue_class)
+def _deviant_flags(module) -> Tuple[str, ...]:
+    """Policy flags a UE module's ``UePolicy(...)`` calls set away from
+    the compliant defaults (none for the base UE module itself)."""
     if module is None or module is ue_module:
+        return ()
+    try:
+        tree = ast.parse(inspect.getsource(module))
+    except (OSError, TypeError):
         return ()
     defaults = _policy_defaults()
     deviant: Set[str] = set()
-    tree = ast.parse(inspect.getsource(module))
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -294,8 +296,7 @@ def _deviant_flags(implementation: str) -> Tuple[str, ...]:
                 continue
             if not isinstance(keyword.value, ast.Constant):
                 deviant.add(keyword.arg)
-                continue
-            if defaults.get(keyword.arg) != keyword.value.value:
+            elif defaults.get(keyword.arg) != keyword.value.value:
                 deviant.add(keyword.arg)
     return tuple(sorted(deviant))
 
@@ -319,7 +320,7 @@ def static_ue_model(implementation: str) -> StaticModel:
         implementation=implementation,
         class_name=ue_class.__name__,
         handlers=sorted(handlers.values(), key=lambda h: h.trigger),
-        deviant_flags=_deviant_flags(implementation),
+        deviant_flags=_deviant_flags(module),
     )
 
 

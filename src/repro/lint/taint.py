@@ -890,10 +890,7 @@ def taint_ue_class(ue_class, implementation: Optional[str] = None,
     module = inspect.getmodule(ue_class)
     name = implementation or ue_class.__name__
     if deviant_flags is None:
-        if implementation is not None and implementation in REGISTRY:
-            deviant_flags = _deviant_flags(implementation)
-        else:
-            deviant_flags = _module_deviant_flags(module)
+        deviant_flags = _deviant_flags(module)
     if module is None or module is ue_module:
         analysis = _ClassTaint(ue_module, "UeNas")
     else:
@@ -905,32 +902,6 @@ def taint_ue_class(ue_class, implementation: Optional[str] = None,
         flows=analysis.flows(),
         deviant_flags=tuple(sorted(deviant_flags)),
     )
-
-
-def _module_deviant_flags(module) -> Tuple[str, ...]:
-    """Deviant UePolicy kwargs set anywhere in an external module."""
-    from .staticfsm import _policy_defaults
-    if module is None:
-        return ()
-    defaults = _policy_defaults()
-    deviant: Set[str] = set()
-    try:
-        tree = ast.parse(inspect.getsource(module))
-    except (OSError, TypeError):
-        return ()
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "UePolicy"):
-            continue
-        for keyword in node.keywords:
-            if keyword.arg is None:
-                continue
-            if not isinstance(keyword.value, ast.Constant):
-                deviant.add(keyword.arg)
-            elif defaults.get(keyword.arg) != keyword.value.value:
-                deviant.add(keyword.arg)
-    return tuple(sorted(deviant))
 
 
 def taint_mme_flows() -> List[TaintFlow]:

@@ -31,7 +31,7 @@ from .buchi import (BuchiAutomaton, buchi_cache_stats, clear_buchi_cache,
                     ltl_to_buchi, normalise_ltl, normalised_key)
 from .model import (Choice, Command, Model, ModelError, Plus, Ref, Variable)
 from .graph import StateGraph
-from .checker import CheckerError, as_invariant, formula_to_expr
+from .checker import as_invariant, formula_to_expr
 from .counterexample import ADVERSARY_PREFIX, CheckResult, Step, Trace
 from .cache import McCacheError, McVerdictCache, verdict_digest
 from .api import CheckRequest, ModelChecker
@@ -47,7 +47,7 @@ __all__ = [
     "ltl_to_buchi", "normalise_ltl", "normalised_key",
     "Choice", "Command", "Model", "ModelError", "Plus", "Ref", "Variable",
     "StateGraph",
-    "CheckerError", "as_invariant", "formula_to_expr",
+    "as_invariant", "formula_to_expr",
     "ADVERSARY_PREFIX", "CheckResult", "Step", "Trace",
     "McCacheError", "McVerdictCache", "verdict_digest",
     "CheckRequest", "ModelChecker",

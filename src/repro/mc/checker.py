@@ -45,10 +45,6 @@ from .ltl import Atom, BinOp, BoolConst, Formula, LTL_FALSE
 from .model import Model
 
 
-class CheckerError(Exception):
-    """Raised when a property cannot be checked on the given model."""
-
-
 # ---------------------------------------------------------------------------
 # Safety fast path
 # ---------------------------------------------------------------------------

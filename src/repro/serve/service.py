@@ -18,8 +18,8 @@ Every job travels one of two paths:
   coalesces into a hit here), then runs the full pipeline via
   :meth:`ProChecker.from_config(...).analyze()
   <repro.core.prochecker.ProChecker.analyze>` — inheriting the engine's
-  process-pool fan-out, retry/timeout resilience and crash isolation —
-  and files the finished report.
+  process-pool fan-out, group timeout, in-process fallback and crash
+  isolation — and files the finished report.
 
 A third path exists for ``"type": "fuzz"`` payloads: a long-running
 fuzz campaign (:mod:`repro.fuzz`) executed on a worker thread.
@@ -50,8 +50,8 @@ Resilience layer:
 
 Per-job telemetry: the finished report's
 ``stats.runtime["metrics"]["counters"]`` delta (which includes the
-PR 3 resilience counters ``engine.group_*``/``engine.pool_rebuilds``)
-is copied onto the job record; fuzz jobs file their registry delta
+engine's resilience counters ``engine.group_*``) is copied onto the
+job record; fuzz jobs file their registry delta
 (the ``fuzz.*`` work counters) the same way.  The metrics registry is
 process-wide, so with overlapping jobs a delta can attribute a
 neighbour's counters; it is exact whenever jobs do not overlap (and

@@ -15,12 +15,11 @@ digest derived from everything its verdicts are a pure function of —
   perturbed extraction may legitimately change the model;
 - the CEGAR iteration budget.
 
-Scheduling knobs (``jobs``, timeouts, retries, backoff) are *excluded*:
-the engine's determinism contract guarantees a ``--jobs 4`` run is
+Scheduling knobs (``jobs``, the group timeout) are *excluded*: the
+engine's determinism contract guarantees a ``--jobs 4`` run is
 verdict-identical to a serial one, so both must hit the same entry.
 Configs that can change verdicts non-reproducibly (an installed fault
-plan) or that hold live callables (a custom ``cases`` suite, non-catalog
-property objects) are **uncacheable** and raise :class:`StoreError`.
+plan) are **uncacheable** and raise :class:`StoreError`.
 
 Layout, atomic writes and quarantine-as-miss are those of
 :class:`repro.blobstore.BlobStore`: one ``{"digest", "key", "report"}``
@@ -113,18 +112,13 @@ def catalog_digest(config: AnalysisConfig) -> str:
 def job_key(config: AnalysisConfig) -> Dict:
     """The canonical, JSON-ready identity of one analysis job.
 
-    Raises :class:`StoreError` for uncacheable configs (fault plans,
-    custom suites, non-catalog properties) — serving a stored report for
-    one of those would return results the submitted job could not have
-    produced.
+    Raises :class:`StoreError` for uncacheable configs (fault plans) —
+    serving a stored report for one of those would return results the
+    submitted job could not have produced.
     """
     if config.fault_plan is not None:
         raise StoreError("configs with an installed fault plan are "
                          "uncacheable (injected faults change verdicts)")
-    if config.cases is not None:
-        raise StoreError("configs with a custom conformance suite are "
-                         "uncacheable (live callables have no stable "
-                         "wire identity)")
     return {
         "implementation": config.implementation,
         "implementation_fingerprint":

@@ -14,11 +14,11 @@ from repro.core.report import AnalysisReport
 from repro.lte.channel import ChaosConfig
 from repro.properties import ALL_PROPERTIES
 
-SUBSET = ALL_PROPERTIES[:6]
+SUBSET = [prop.identifier for prop in ALL_PROPERTIES[:6]]
 
 
 def _analyze(chaos=None, chaos_runs=1):
-    config = AnalysisConfig("reference", jobs=1, properties=SUBSET,
+    config = AnalysisConfig("reference", jobs=1, property_ids=SUBSET,
                             chaos=chaos, chaos_runs=chaos_runs)
     return ProChecker.from_config(config).analyze()
 

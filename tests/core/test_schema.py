@@ -6,6 +6,7 @@ from repro import schema
 from repro.core import AnalysisConfig, AnalysisReport, PropertyResult, Verdict
 from repro.obs.stats import PipelineStats
 from repro.properties import property_by_id
+from repro.store import job_digest
 
 
 def _small_report():
@@ -110,10 +111,22 @@ class TestConfigVersioning:
                                 jobs=2)
         payload = config.to_dict()
         assert payload[schema.SCHEMA_KEY] == schema.SCHEMA_VERSION
+        assert not {"use_extraction_cache", "share_cegar_inputs",
+                    "max_group_retries", "retry_backoff_seconds"} \
+            & set(payload)
         rebuilt = AnalysisConfig.from_dict(payload)
         assert rebuilt.implementation == "srsue"
         assert rebuilt.property_ids == ["SEC-01", "SEC-02"]
         assert rebuilt.jobs == 2
+        # A payload written before the retry and cache switches were
+        # removed (a client submit, a journal entry) still loads and
+        # keeps its job identity.
+        parent_era = dict(payload, use_extraction_cache=False,
+                          share_cegar_inputs=False, max_group_retries=5,
+                          retry_backoff_seconds=0.5)
+        restored = AnalysisConfig.from_dict(parent_era)
+        assert restored == rebuilt
+        assert job_digest(restored) == job_digest(config)
 
     def test_config_rejects_future_major(self):
         payload = AnalysisConfig("oai").to_dict()

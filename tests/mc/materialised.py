@@ -12,10 +12,14 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.mc.buchi import BuchiAutomaton, ltl_to_buchi
-from repro.mc.checker import CheckerError, _check_invariant, as_invariant
+from repro.mc.checker import _check_invariant, as_invariant
 from repro.mc.counterexample import CheckResult, Step, Trace
 from repro.mc.ltl import Formula
 from repro.mc.model import Model
+
+
+class CheckerError(Exception):
+    """Raised when the product search reaches an impossible state."""
 
 
 class _Product:

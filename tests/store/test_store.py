@@ -33,8 +33,7 @@ class TestJobIdentity:
         # --jobs widths, so the cache must hit regardless of width.
         narrow = AnalysisConfig("srsue", property_ids=SMALL, jobs=1)
         wide = AnalysisConfig("srsue", property_ids=SMALL, jobs=4,
-                              group_timeout_seconds=5.0,
-                              max_group_retries=3)
+                              group_timeout_seconds=5.0)
         assert job_digest(narrow) == job_digest(wide)
 
     def test_digest_varies_with_inputs(self):

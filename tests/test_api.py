@@ -22,6 +22,7 @@ REMOVED = [
     (repro.mc, "STRATEGY_ON_THE_FLY"),
     (repro.mc, "STRATEGY_MATERIALISED"),
     (repro.mc.CheckRequest, "strategy"),
+    (repro.mc, "CheckerError"),
     (repro.core, "VERDICT_VERIFIED"),
     (repro.core, "VERDICT_VIOLATED"),
     (repro.core, "VERDICT_NOT_APPLICABLE"),
