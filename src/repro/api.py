@@ -47,7 +47,7 @@ from .schema import SCHEMA_VERSION, SchemaVersionError
 from .serve import (AnalysisService, JobJournal, JobRecord, JobStatus,
                     JournalError, QueueFullError, ServeClient,
                     ServeClientError, ServiceDrainingError, ServiceError,
-                    Watchdog, create_server)
+                    create_server)
 from .store import (ResultStore, StoreError, implementation_fingerprint,
                     job_digest, job_key)
 
@@ -67,10 +67,10 @@ __all__ = [
     # content-addressed result store
     "ResultStore", "StoreError", "implementation_fingerprint",
     "job_digest", "job_key",
-    # service mode (+ resilience layer: journal, watchdog, backpressure)
+    # service mode (+ resilience layer: journal, deadlines, backpressure)
     "AnalysisService", "JobJournal", "JobRecord", "JobStatus",
     "JournalError", "QueueFullError", "ServeClient", "ServeClientError",
-    "ServiceDrainingError", "ServiceError", "Watchdog", "create_server",
+    "ServiceDrainingError", "ServiceError", "create_server",
     # coverage-guided fuzzing
     "Deviation", "FuzzConfig", "FuzzConfigError", "FuzzError",
     "FuzzResult", "Fuzzer", "campaign_digest", "run_campaign",

@@ -16,8 +16,8 @@ Commands mirror the pipeline stages so each is scriptable on its own:
   reference implementation; minimised deviations exit 6 and replay
   via ``--replay FILE``;
 - ``serve``           — long-running service mode: analysis jobs over the
-  ``/v1`` HTTP JSON API, a worker fleet, and a persistent
-  content-addressed result store.
+  ``/v1`` HTTP JSON API, a scheduler over ``--workers`` job slots, and
+  a persistent content-addressed result store.
 
 Every subcommand that emits a result supports ``--json``; every JSON
 payload is stamped with the wire-format ``schema_version``
@@ -485,7 +485,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Long-running service mode: HTTP /v1 API + worker fleet + store."""
+    """Long-running service mode: HTTP /v1 API + scheduler + store."""
     import signal
     import threading
 
@@ -508,7 +508,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except faults.FaultSpecError as exc:
             print(f"bad --inject-fault: {exc}", file=sys.stderr)
             return 2
-        # Serve workers are threads in this process, so the plan is
+        # Serve jobs run on threads in this process, so the plan is
         # installed here rather than shipped through a job config
         # (fault-plan submissions are rejected by the service).
         faults.install(plan)
@@ -590,9 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the PipelineStats summary table")
     analyze.add_argument("--group-timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="wall-clock budget per pooled property "
-                              "group (timed-out groups are completed "
-                              "serially in-process)")
+                         help="progress timeout of the pooled pass: once "
+                              "no property group has finished for SECONDS, "
+                              "the groups still pending time out and are "
+                              "completed serially in-process")
     analyze.add_argument("--inject-fault", action="append", default=[],
                          metavar="SITE[@KEY]:KIND[:NTH[:SCOPE]]",
                          help="debug: install a deterministic fault, e.g. "
@@ -746,7 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port; 0 picks an ephemeral port "
                             "(default 8373)")
     serve.add_argument("--workers", "-w", type=int, default=2, metavar="K",
-                       help="analysis worker threads (default 2)")
+                       help="jobs run at once, each on a thread of its "
+                            "own (default 2)")
     serve.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
                        help="engine process-pool width per job when the "
                             "job does not specify one (default 1)")
@@ -764,10 +766,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "queued (default: unbounded)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
-                       help="default per-job wall-clock deadline; the "
-                            "watchdog marks over-deadline jobs TIMEOUT "
-                            "and respawns their workers (jobs may carry "
-                            "their own deadline_seconds)")
+                       help="default per-job wall-clock deadline; a job "
+                            "still running at its deadline is marked "
+                            "TIMEOUT and its slot goes to the next "
+                            "queued job (jobs may carry their own "
+                            "deadline_seconds)")
     serve.add_argument("--drain-grace", type=float, default=30.0,
                        metavar="SECONDS",
                        help="on SIGTERM/SIGINT, wait this long for "

@@ -41,11 +41,10 @@ paths is exercisable on demand.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, \
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, \
     wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -622,10 +621,11 @@ class VerificationEngine:
                        ) -> Dict[Tuple[str, str], PropertyResult]:
         """One pooled pass over ``tasks``; failed groups run in-process.
 
-        With a timeout budget the pass gets ``group_timeout`` seconds per
-        scheduling wave (``ceil(groups / workers)``); whatever has not
-        finished by then counts as timed out — a hung worker cannot be
-        cancelled, only torn down with the pool.
+        With a timeout, once no pooled group has finished for
+        ``group_timeout`` seconds (counted from the pass start or the
+        last finish), every group still pending counts as timed out — a
+        hung worker cannot be cancelled, only torn down with the pool.
+        Without one it waits for every group.
         """
         payloads = {run.implementation:
                     (run.ue_fsm, run.mme_model, run.max_iterations,
@@ -648,14 +648,15 @@ class VerificationEngine:
                 except BrokenProcessPool:
                     # A worker died before this group was submitted.
                     futures.append(None)
-            submitted = [future for future in futures if future is not None]
-            timeout = None
-            if self.group_timeout is not None:
-                timeout = (self.group_timeout
-                           * math.ceil(len(submitted) / width))
-            _, late = futures_wait(submitted, timeout=timeout)
+            pending = {future for future in futures if future is not None}
+            while pending:
+                done, pending = futures_wait(
+                    pending, timeout=self.group_timeout,
+                    return_when=FIRST_COMPLETED)
+                if not done:
+                    break  # no group finished in time: the rest are late
             for task, future in zip(tasks, futures):
-                if future in late:
+                if future in pending:
                     obs.count("engine.group_timeouts")
                 elif future is None or future.exception() is not None:
                     obs.count("engine.group_crashes")

@@ -9,9 +9,10 @@ with integer ids:
   so product nodes become small ints (``sid * |Q| + q``) instead of
   ``(tuple, int)`` pairs;
 - successor lists are expanded lazily through
-  :meth:`~repro.mc.model.Model.successor_items` and cached as
-  ``(label, successor id)`` tuples — built at most once per model no
-  matter how many properties or CEGAR iterations explore it;
+  :meth:`~repro.mc.model.Model.successor_items` (which does not memoise)
+  and cached here as ``(label, successor id)`` tuples — built at most
+  once per model no matter how many properties or CEGAR iterations
+  explore it;
 - atomic predicates are evaluated at most once per ``(literal, state)``
   via per-literal truth columns (one growable list per literal, indexed
   by state id), which is what makes on-the-fly product exploration

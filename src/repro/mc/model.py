@@ -128,8 +128,6 @@ class Model:
         if missing:
             raise ModelError(f"variables without initial value: {missing}")
         self._order = tuple(sorted(self._by_name))
-        self._successor_cache: Dict[Tuple[Value, ...],
-                                    List[Tuple[str, Tuple[Value, ...]]]] = {}
         self._compiled_guards: List = []
         self._graph = None
         self._fingerprint: Optional[str] = None
@@ -160,7 +158,6 @@ class Model:
             self.variable(name)  # existence check
         command = Command(label, guard, updates)
         self.commands.append(command)
-        self._successor_cache.clear()
         self._graph = None
         self._fingerprint = None
         return command
@@ -279,18 +276,12 @@ class Model:
     ) -> List[Tuple[str, Tuple[Value, ...]]]:
         """``(label, successor key)`` pairs for the state with this key.
 
-        Memoised on the model instance: the state graph is a function of
-        the commands alone, so explorations launched by different
-        properties (or different Büchi products) against the same model
-        share one expansion per state.  ``add_command`` invalidates.
+        Computed afresh on every call; :meth:`graph` is the memo — its
+        :class:`~repro.mc.graph.StateGraph` expands each state once, no
+        matter how many properties or Büchi products explore the model.
         """
-        cached = self._successor_cache.get(key)
-        if cached is None:
-            state = self.unkey(key)
-            cached = [(label, self.key(successor))
-                      for label, successor in self.successors(state)]
-            self._successor_cache[key] = cached
-        return cached
+        return [(label, self.key(successor))
+                for label, successor in self.successors(self.unkey(key))]
 
     def state_count_bound(self) -> int:
         """Product of domain sizes — upper bound used in scalability stats."""

@@ -3,9 +3,11 @@
 A long-running mode (``repro serve --port N --workers K``) that turns
 the one-shot pipeline into idempotent, addressable, concurrent jobs:
 
-- :class:`AnalysisService` — thread-safe job queue + worker fleet, with
-  an O(1) short-circuit through the content-addressed result store
-  (:mod:`repro.store`) for identical resubmissions;
+- :class:`AnalysisService` — thread-safe job queue and one scheduler
+  thread that runs at most ``workers`` jobs at once, each on a thread
+  of its own, with an O(1) short-circuit through the
+  content-addressed result store (:mod:`repro.store`) for identical
+  resubmissions;
 - :mod:`repro.serve.http` — the versioned ``/v1`` HTTP JSON API
   (stdlib ``ThreadingHTTPServer``, no new dependencies);
 - :class:`ServeClient` — a stdlib client for scripts, benches, tests.
@@ -20,8 +22,8 @@ self-healing:
 - :class:`JobJournal` — a write-ahead JSONL journal
   (``repro serve --journal DIR``); a restarted service replays every
   unfinished job deterministically;
-- :class:`Watchdog` — per-job deadlines (``TIMEOUT`` status) and
-  worker-fleet supervision (dead/hung workers are respawned);
+- per-job deadlines — the scheduler marks an overdue job ``TIMEOUT``
+  and frees its slot in one step, so a hung job never holds capacity;
 - drain lifecycle (SIGTERM/SIGINT → finish in-flight, journal the
   rest) with a liveness/readiness health split;
 - bounded-queue backpressure (``--max-queue`` → HTTP 429 +
@@ -36,7 +38,6 @@ from .jobs import (KIND_ANALYSIS, KIND_FUZZ, TERMINAL_STATUSES, JobRecord,
 from .journal import JobJournal, JournalError, JournalReplay
 from .service import (AnalysisService, QueueFullError, ServiceDrainingError,
                       ServiceError)
-from .watchdog import Watchdog
 
 __all__ = [
     "AnalysisService", "JobJournal", "JobRecord", "JobRegistry",
@@ -45,5 +46,5 @@ __all__ = [
     "RETRY_NONE", "ServeClient", "ServeClientError",
     "ServiceDrainingError", "ServiceError", "ServiceHandler",
     "ServiceHTTPServer", "TERMINAL_JOB_STATUSES", "TERMINAL_STATUSES",
-    "Watchdog", "create_server",
+    "create_server",
 ]

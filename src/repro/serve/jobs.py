@@ -17,9 +17,9 @@ class JobStatus(str, enum.Enum):
     ``QUEUED → RUNNING → DONE | FAILED | TIMEOUT``; a store hit goes
     straight to ``DONE`` at submission time (the O(1) path, analysis
     jobs only — fuzz campaigns are store-exempt).  ``TIMEOUT`` is
-    assigned by the watchdog when a running job exceeds its deadline;
-    like ``DONE``/``FAILED`` it is terminal — a worker returning late
-    from a timed-out job must not overwrite it.
+    assigned by the scheduler when a running job exceeds its deadline;
+    like ``DONE``/``FAILED`` it is terminal — a job thread returning
+    late from a timed-out job must not overwrite it.
     """
 
     QUEUED = "queued"
@@ -29,8 +29,8 @@ class JobStatus(str, enum.Enum):
     TIMEOUT = "timeout"
 
 
-#: Statuses a job cannot leave (the watchdog and workers both check
-#: against this set under the record lock before finalising).
+#: Statuses a job cannot leave (the scheduler and job threads both
+#: check against this set under the record lock before finalising).
 TERMINAL_STATUSES = frozenset(
     (JobStatus.DONE, JobStatus.FAILED, JobStatus.TIMEOUT))
 
@@ -63,7 +63,7 @@ class JobRecord:
     #: scheduling knob like ``jobs`` — deliberately excluded from the
     #: store's job identity (it cannot change what a verdict *is*).
     deadline_seconds: Optional[float] = None
-    #: worker-thread name that executed the job ("" for submit-time hits)
+    #: name of the thread that ran the job ("" for submit-time hits)
     worker: str = ""
     #: per-job metrics-registry delta (engine.*/mc.*/fuzz.* counters);
     #: empty for store hits — that emptiness is the "zero work" hook
@@ -73,7 +73,7 @@ class JobRecord:
     #: inline result summary for jobs whose output is not store-backed
     #: (fuzz campaigns file their ``FuzzResult.summary()`` here)
     result: Optional[Dict] = None
-    #: guards status finalisation (watchdog TIMEOUT vs worker finish)
+    #: guards status finalisation (deadline TIMEOUT vs job finish)
     lock: threading.Lock = field(default_factory=threading.Lock,
                                  repr=False, compare=False)
 

@@ -1,10 +1,14 @@
-"""The scheduler: a durable job queue drained by a supervised worker fleet.
+"""The scheduler: a durable job queue and ``workers`` job slots, owned
+by one scheduler thread.
 
 The split mirrors Klever's bridge/scheduler architecture: the HTTP layer
 (:mod:`repro.serve.http`) only translates requests, this module owns the
-queue, the worker fleet, the result-store short-circuit and — since the
-resilience layer — the write-ahead journal, the drain lifecycle, the
-deadline watchdog and queue admission control.
+queue, the job slots, the result-store short-circuit and — since the
+resilience layer — the write-ahead journal, the drain lifecycle,
+deadlines and queue admission control.  The scheduler thread sleeps on
+one condition variable until a job is queued, a job finishes, or the
+earliest deadline falls due; a job leaves the queue only to run, so the
+queue always holds exactly the ``QUEUED`` jobs, in submission order.
 
 Every job travels one of two paths:
 
@@ -13,16 +17,17 @@ Every job travels one of two paths:
   empty per-job counter delta.  No extraction, no model checking — the
   acceptance criterion "second identical submission consumes zero
   ``engine.*``/``mc.*`` work" is checked against exactly this emptiness.
-- **cold run** — a worker thread dequeues the job, re-checks the store
-  (an identical job submitted while the first was still running
-  coalesces into a hit here), then runs the full pipeline via
+- **cold run** — once a slot is free, the scheduler starts the job on a
+  thread of its own.  That thread re-checks the store (an identical job
+  submitted while the first was still running coalesces into a hit
+  here), then runs the full pipeline via
   :meth:`ProChecker.from_config(...).analyze()
   <repro.core.prochecker.ProChecker.analyze>` — inheriting the engine's
   process-pool fan-out, group timeout, in-process fallback and crash
   isolation — and files the finished report.
 
 A third path exists for ``"type": "fuzz"`` payloads: a long-running
-fuzz campaign (:mod:`repro.fuzz`) executed on a worker thread.
+fuzz campaign (:mod:`repro.fuzz`) executed on a job thread.
 Campaigns are **store-exempt** — they always run cold; their
 ``FuzzResult.summary()`` is filed inline on the job record.
 
@@ -32,21 +37,25 @@ Resilience layer:
   every submit/start/finish is logged write-ahead; a restarted service
   replays unfinished jobs deterministically (store hits stay O(1),
   running-at-crash jobs re-run cold).  A failing *start* append fails
-  the job, never the worker; a failing *finish* append is counted and
+  the job, never the service; a failing *finish* append is counted and
   tolerated — the job's report is already in the store, so a replay
   resolves it as a hit (the journal self-heals through the store).
-- **drain** — :meth:`AnalysisService.drain` stops admission and
-  dequeueing; in-flight jobs finish, queued jobs stay ``QUEUED`` (and
+- **drain** — :meth:`AnalysisService.drain` stops admission and job
+  starts; in-flight jobs finish, queued jobs stay ``QUEUED`` (and
   journaled) for the next incarnation.  ``repro serve`` wires SIGTERM
   and SIGINT to exactly this.
-- **deadlines + watchdog** (:mod:`repro.serve.watchdog`) — a running
-  job past its ``deadline_seconds`` is marked ``TIMEOUT``; its hung
-  worker is abandoned and a replacement spawned
-  (``serve.workers_respawned``), so capacity never decays.
+- **deadlines** — a running job past its ``deadline_seconds`` is marked
+  ``TIMEOUT`` and its slot is freed in the same locked step
+  (:meth:`AnalysisService.expire`), so the next queued job starts at
+  once.  Python cannot kill a thread: the hung one runs on without a
+  slot, and its late result is counted (``serve.late_completions``),
+  never applied.
 - **backpressure** — with ``max_queue`` set, submissions beyond the
   queue bound raise :class:`QueueFullError`, which the HTTP layer maps
   to ``429`` + ``Retry-After``; :class:`~repro.serve.client.ServeClient`
-  retries those with jittered exponential backoff.
+  retries those with jittered exponential backoff.  The bound check and
+  the enqueue are one step under the scheduler's lock, so concurrent
+  submissions cannot overrun the bound.
 
 Per-job telemetry: the finished report's
 ``stats.runtime["metrics"]["counters"]`` delta (which includes the
@@ -60,10 +69,10 @@ always exact about a store hit, whose delta is empty by construction).
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from typing import Dict, List, Optional, Set
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 from .. import faults, obs
 from ..core.engine import exception_chain
@@ -74,7 +83,10 @@ from ..store import ResultStore, job_digest, job_key
 from .jobs import (KIND_FUZZ, TERMINAL_STATUSES, JobRecord, JobRegistry,
                    JobStatus)
 from .journal import JobJournal
-from .watchdog import Watchdog
+
+#: How long ``stop(wait=True)`` waits for each running job's thread
+#: before counting it as leaked.
+JOIN_TIMEOUT_SECONDS = 30.0
 
 
 class ServiceError(Exception):
@@ -101,22 +113,19 @@ class ServiceDrainingError(ServiceError):
 
 
 class AnalysisService:
-    """Durable job queue + supervised worker fleet in front of the
-    verification pipeline."""
+    """Durable job queue + one scheduler over ``workers`` job slots in
+    front of the verification pipeline."""
 
     def __init__(self, store: ResultStore, workers: int = 2,
                  default_engine_jobs: Optional[int] = 1,
                  journal: Optional[JobJournal] = None,
                  max_queue: Optional[int] = None,
-                 default_deadline_seconds: Optional[float] = None,
-                 watchdog_interval_seconds: float = 0.25,
-                 join_timeout_seconds: float = 30.0,
-                 retry_after_seconds: float = 1.0):
-        """``workers`` concurrent jobs; each job's *internal* check-phase
-        width defaults to ``default_engine_jobs`` when the submitted
-        config leaves ``jobs`` unset (``None`` delegates to the config's
-        own default of all cores — sensible for a single-job service,
-        oversubscribed for a wide worker fleet).
+                 default_deadline_seconds: Optional[float] = None):
+        """At most ``workers`` jobs run at once; each job's *internal*
+        check-phase width defaults to ``default_engine_jobs`` when the
+        submitted config leaves ``jobs`` unset (``None`` delegates to the
+        config's own default of all cores — sensible for a single-job
+        service, oversubscribed for many slots).
 
         ``journal`` makes the queue durable, ``max_queue`` bounds it,
         ``default_deadline_seconds`` applies to jobs whose payload does
@@ -129,18 +138,17 @@ class AnalysisService:
         self.journal = journal
         self.max_queue = max_queue
         self.default_deadline_seconds = default_deadline_seconds
-        self.watchdog_interval_seconds = watchdog_interval_seconds
-        self.join_timeout_seconds = join_timeout_seconds
-        self.retry_after_seconds = retry_after_seconds
         self.registry = JobRegistry()
-        self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
-        self._threads: List[threading.Thread] = []
-        self._fleet_lock = threading.Lock()
-        self._abandoned: Set[str] = set()
+        #: guards the queue, the slots and the lifecycle flags; the
+        #: scheduler thread sleeps on it
+        self._cond = threading.Condition()
+        #: ids of the ``QUEUED`` jobs, in submission order
+        self._queue: Deque[str] = deque()
+        #: job id -> thread, for every job thread still alive; a job
+        #: holds one of the ``workers`` slots while it is ``RUNNING``
+        self._job_threads: Dict[str, threading.Thread] = {}
+        self._scheduler: Optional[threading.Thread] = None
         self._leaked: List[str] = []
-        self._worker_seq = 0
-        self._watchdog: Optional[Watchdog] = None
-        self._started = False
         self._stopping = False
         self._draining = False
         self._recovered = False
@@ -149,87 +157,70 @@ class AnalysisService:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "AnalysisService":
-        if self._started:
+        if self._scheduler is not None:
             return self
-        self._started = True
-        self._stopping = False
         self._draining = False
-        self._rebuild_queue()
         if self.journal is not None and not self._recovered:
             self._recover()
-        with self._fleet_lock:
-            while len(self._threads) < self.workers:
-                self._spawn_worker_locked()
-        self._watchdog = Watchdog(
-            self, interval_seconds=self.watchdog_interval_seconds).start()
+        self._scheduler = threading.Thread(target=self._schedule,
+                                           name="serve-scheduler",
+                                           daemon=True)
+        self._scheduler.start()
         return self
 
     def drain(self, wait: bool = True,
               timeout: Optional[float] = None) -> bool:
-        """Enter drain mode: stop accepting and dequeueing new work.
+        """Enter drain mode: stop accepting and starting new work.
 
         In-flight jobs run to completion; queued jobs stay ``QUEUED``
         (journaled — the next incarnation replays them).  With
         ``wait=True``, blocks until no job is ``RUNNING`` (bounded by
         ``timeout``); returns whether the service is fully idle.
         """
-        already = self._draining
-        self._draining = True
+        with self._cond:
+            already, self._draining = self._draining, True
         if not already:
             obs.count("serve.drains")
-        if wait:
-            return self.wait_idle(timeout)
-        return not self.registry.list(JobStatus.RUNNING)
+        return self.wait_idle(timeout if wait else 0)
 
     def wait_idle(self, timeout: Optional[float] = None) -> bool:
         """Block until no job is ``RUNNING``; returns False on timeout."""
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        while self.registry.list(JobStatus.RUNNING):
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.02)
-        return True
+        with self._cond:
+            return self._cond.wait_for(
+                lambda: not self._running_locked(), timeout)
 
     def stop(self, wait: bool = True) -> None:
-        """Stop the fleet.  Queued jobs are left ``QUEUED`` (journaled —
-        a restart or a fresh :meth:`start` picks them back up); workers
-        exit after their current job.  Idempotent, and restartable:
-        ``stop()`` then ``start()`` spawns a fresh fleet over the same
-        registry and queue.
+        """Stop the scheduler.  Queued jobs are left ``QUEUED``
+        (journaled — a restart or a fresh :meth:`start` picks them back
+        up); running jobs finish on their own threads.  With
+        ``wait=True`` each job thread still alive (a timed-out job's
+        too) gets :data:`JOIN_TIMEOUT_SECONDS` to finish; one still
+        alive after that is counted as leaked.  Idempotent, and
+        restartable: ``stop()`` then ``start()`` starts a fresh
+        scheduler over the same registry and queue.
         """
-        if not self._started or self._stopping:
-            return
-        self._stopping = True
-        if self._watchdog is not None:
-            self._watchdog.stop()
-            self._watchdog = None
-        with self._fleet_lock:
-            threads = list(self._threads)
-        for _ in threads:
-            self._queue.put(None)
+        with self._cond:
+            scheduler = self._scheduler
+            if scheduler is None or self._stopping:
+                return
+            self._stopping = True
+            self._cond.notify_all()
+            threads = list(self._job_threads.values())
+        scheduler.join()
         if wait:
-            leaked = []
             for thread in threads:
-                thread.join(timeout=self.join_timeout_seconds)
-                if thread.is_alive():
-                    leaked.append(thread.name)
-                    obs.count("serve.stop_leaked_threads")
-            if leaked:
-                # A leaked worker is stuck inside a job; write it off so
-                # it retires (instead of rejoining a restarted fleet)
-                # whenever its pipeline finally returns.
-                with self._fleet_lock:
-                    self._abandoned.update(leaked)
-            self._leaked = leaked
-        with self._fleet_lock:
-            self._threads = []
-        self._started = False
-        self._stopping = False
+                thread.join(timeout=JOIN_TIMEOUT_SECONDS)
+            self._leaked = [thread.name for thread in threads
+                            if thread.is_alive()]
+            if self._leaked:
+                obs.count("serve.stop_leaked_threads", len(self._leaked))
+        with self._cond:
+            self._scheduler = None
+            self._stopping = False
 
     @property
     def started(self) -> bool:
-        return self._started
+        return self._scheduler is not None
 
     @property
     def draining(self) -> bool:
@@ -238,7 +229,7 @@ class AnalysisService:
     @property
     def ready(self) -> bool:
         """Readiness: accepting submissions (liveness is being up)."""
-        return self._started and not self._draining and not self._stopping
+        return self.started and not self._draining and not self._stopping
 
     # ------------------------------------------------------------------
     # Journal recovery
@@ -271,7 +262,8 @@ class AnalysisService:
                 self._finish_hit(record)
             else:
                 obs.count("serve.jobs_requeued")
-                self._queue.put(record.job_id)
+                with self._cond:
+                    self._queue.append(record.job_id)
         self._recovered = True
 
     # ------------------------------------------------------------------
@@ -286,13 +278,34 @@ class AnalysisService:
         :class:`~repro.store.StoreError` /
         :class:`~repro.fuzz.FuzzConfigError` on malformed payloads,
         :class:`ServiceError` on fault-plan submissions (a shared
-        service must not let one client sabotage the worker fleet),
+        service must not let one client sabotage every other job),
         :class:`ServiceDrainingError` while draining and
-        :class:`QueueFullError` past the queue bound.
+        :class:`QueueFullError` past the queue bound.  Admission, the
+        journal append, the store lookup and the enqueue are one step
+        under the scheduler's lock.
         """
-        self._admit()
-        if payload.get("type") == KIND_FUZZ:
-            return self._submit_fuzz(payload)
+        with self._cond:
+            self._admit()
+            record = (self._fuzz_record(payload)
+                      if payload.get("type") == KIND_FUZZ
+                      else self._analysis_record(payload))
+            self._journal_submit(record)
+            self.registry.add(record)
+            if record.kind != KIND_FUZZ \
+                    and self.store.get(record.digest) is not None:
+                # O(1) path: identical job already analysed — serve it
+                # straight from the store, consuming zero pipeline work.
+                obs.count("serve.store_hits")
+                self._finish_hit(record)
+            else:
+                obs.count("serve.fuzz_jobs_queued"
+                          if record.kind == KIND_FUZZ
+                          else "serve.jobs_queued")
+                self._queue.append(record.job_id)
+                self._cond.notify_all()
+        return record
+
+    def _analysis_record(self, payload: Dict) -> JobRecord:
         config = AnalysisConfig.from_dict(payload)
         if config.fault_plan is not None:
             raise ServiceError(
@@ -301,27 +314,16 @@ class AnalysisService:
         if config.jobs is None and self.default_engine_jobs is not None:
             config.jobs = self.default_engine_jobs
         digest = job_digest(config)
-        record = JobRecord(
+        return JobRecord(
             job_id=self.registry.allocate_id(),
             digest=digest,
             implementation=config.implementation,
             payload=config.to_dict(),
             deadline_seconds=self._resolve_deadline(payload),
         )
-        self._journal_submit(record)
-        self.registry.add(record)
-        if self.store.get(digest) is not None:
-            # O(1) path: identical job already analysed — serve it
-            # straight from the store, consuming zero pipeline work.
-            obs.count("serve.store_hits")
-            self._finish_hit(record)
-        else:
-            obs.count("serve.jobs_queued")
-            self._queue.put(record.job_id)
-        return record
 
-    def _submit_fuzz(self, payload: Dict) -> JobRecord:
-        """Queue one fuzz campaign.
+    def _fuzz_record(self, payload: Dict) -> JobRecord:
+        """One fuzz campaign's record.
 
         Campaigns are *store-exempt*: they are open-ended discovery
         work, not content-addressed analyses — identical resubmission
@@ -331,7 +333,7 @@ class AnalysisService:
         clients can correlate runs.
         """
         config = FuzzConfig.from_dict(payload)
-        record = JobRecord(
+        return JobRecord(
             job_id=self.registry.allocate_id(),
             digest=campaign_digest(config),
             implementation=config.implementation,
@@ -339,27 +341,21 @@ class AnalysisService:
             kind=KIND_FUZZ,
             deadline_seconds=self._resolve_deadline(payload),
         )
-        self._journal_submit(record)
-        self.registry.add(record)
-        obs.count("serve.fuzz_jobs_queued")
-        self._queue.put(record.job_id)
-        return record
 
     def _admit(self) -> None:
-        """Admission control: drain state first, then the queue bound."""
+        """Admission control: drain state first, then the queue bound
+        (caller holds the scheduler's lock)."""
         if self._draining or self._stopping:
             obs.count("serve.drain_rejections")
             raise ServiceDrainingError(
                 "service is draining and accepts no new jobs; retry "
-                "against the restarted instance",
-                retry_after_seconds=max(5.0, self.retry_after_seconds))
+                "against the restarted instance")
         if self.max_queue is not None \
-                and self._queue.qsize() >= self.max_queue:
+                and len(self._queue) >= self.max_queue:
             obs.count("serve.queue_rejections")
             raise QueueFullError(
                 f"queue is full ({self.max_queue} job(s) pending); "
-                f"retry after backoff",
-                retry_after_seconds=self.retry_after_seconds)
+                f"retry after backoff")
 
     def _resolve_deadline(self, payload: Dict) -> Optional[float]:
         deadline = payload.get("deadline_seconds")
@@ -416,15 +412,17 @@ class AnalysisService:
         is the readiness half of the split — up, not draining, not
         stopping.  A full queue is *backpressure* (429 on submit), not
         unreadiness; it is reported separately as ``queue_full``.
+        ``workers_alive`` is the slot count while the scheduler thread
+        runs, and 0 once it has stopped.
         """
         by_status: Dict[str, int] = {}
         for record in self.registry.list():
             by_status[record.status.value] = \
                 by_status.get(record.status.value, 0) + 1
-        with self._fleet_lock:
-            alive = sum(1 for t in self._threads
-                        if t.is_alive() and t.name not in self._abandoned)
-        queued = self._queue.qsize()
+        scheduler = self._scheduler
+        alive = (self.workers
+                 if scheduler is not None and scheduler.is_alive() else 0)
+        queued = len(self._queue)
         return {
             "live": True,
             "ready": self.ready,
@@ -443,83 +441,108 @@ class AnalysisService:
         }
 
     # ------------------------------------------------------------------
-    # The worker fleet (the scheduler side)
+    # The scheduler
     # ------------------------------------------------------------------
-    def _spawn_worker_locked(self) -> threading.Thread:
-        """Spawn one worker (caller holds ``_fleet_lock``)."""
-        index = self._worker_seq
-        self._worker_seq += 1
-        thread = threading.Thread(target=self._worker_loop,
-                                  name=f"serve-worker-{index}",
-                                  daemon=True)
-        thread.start()
-        self._threads.append(thread)
-        return thread
-
-    def _respawn_dead_workers(self) -> int:
-        """Keep the fleet at strength: replace dead and abandoned
-        workers (called from the watchdog scan).  Returns the number of
-        workers respawned."""
-        if not self._started or self._stopping:
-            return 0
-        respawned = 0
-        with self._fleet_lock:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            effective = sum(1 for t in self._threads
-                            if t.name not in self._abandoned)
-            while effective < self.workers:
-                self._spawn_worker_locked()
-                effective += 1
-                respawned += 1
-                obs.count("serve.workers_respawned")
-        return respawned
-
-    def _abandon_worker(self, name: str) -> None:
-        """Write off a worker stuck past its job's deadline: it exits
-        the loop when its pipeline returns, and a replacement is
-        spawned immediately."""
-        if not name:
-            return
-        with self._fleet_lock:
-            self._abandoned.add(name)
-        self._respawn_dead_workers()
-
-    def _retired(self) -> bool:
-        """Whether the current worker has been written off (abandoned
-        after a deadline, or leaked at stop) and must exit its loop."""
-        name = threading.current_thread().name
-        with self._fleet_lock:
-            if name in self._abandoned:
-                self._abandoned.discard(name)
-                return True
-        return False
-
-    def _worker_loop(self) -> None:
+    def _schedule(self) -> None:
+        """The scheduler thread: start queued jobs while a slot is free
+        (not while draining), time out overdue ones, and otherwise sleep
+        until a job is queued, a job finishes, or the earliest deadline
+        falls due."""
         while True:
-            job_id = self._queue.get()
-            if job_id is None:
-                return
-            if self._stopping or self._draining:
-                # Drain/stop: leave the job QUEUED (it is journaled — a
-                # restart replays it); keep cycling so the stop
-                # sentinel is reached.
-                continue
-            record: Optional[JobRecord] = None
-            try:
-                record = self.registry.get(job_id)
-                if record.kind == KIND_FUZZ:
-                    self._run_fuzz_job(record)
-                else:
-                    self._run_job(record)
-            except Exception as exc:  # noqa: BLE001 - worker must survive
-                obs.count("serve.worker_loop_errors")
-                if record is not None:
-                    # An exception outside the per-job isolation
-                    # boundary (e.g. dispatch) used to strand the
-                    # record QUEUED forever; fail it instead.
-                    self._strand_failed(record, exc)
-            if self._retired():
-                return
+            with self._cond:
+                if self._stopping:
+                    return
+                while (self._queue and not self._draining
+                       and len(self._running_locked()) < self.workers):
+                    self._launch_locked(
+                        self.registry.get(self._queue.popleft()))
+                due = self._next_deadline_locked()
+                now = time.time()
+                if due is None or now < due:
+                    self._cond.wait(None if due is None else due - now)
+                    continue
+            self.expire()
+
+    def _launch_locked(self, record: JobRecord) -> None:
+        """Start ``record`` on a thread of its own, in a free slot."""
+        thread = threading.Thread(target=self._job_thread, args=(record,),
+                                  name=f"serve-job-{record.job_id}",
+                                  daemon=True)
+        record.status = JobStatus.RUNNING
+        record.started_at = time.time()
+        record.worker = thread.name
+        self._job_threads[record.job_id] = thread
+        thread.start()
+
+    def _running_locked(self) -> List[JobRecord]:
+        """The jobs holding a slot: live job threads still ``RUNNING``."""
+        records = map(self.registry.get, self._job_threads)
+        return [record for record in records
+                if record.status is JobStatus.RUNNING]
+
+    def _next_deadline_locked(self) -> Optional[float]:
+        """When the earliest deadline among the running jobs falls due."""
+        return min((record.started_at + record.deadline_seconds
+                    for record in self._running_locked()
+                    if record.started_at is not None
+                    and record.deadline_seconds is not None),
+                   default=None)
+
+    def expire(self, now: Optional[float] = None) -> int:
+        """Time out every running job past its deadline; returns how
+        many were timed out.
+
+        A job holds its slot while it is ``RUNNING``, so marking it
+        ``TIMEOUT`` under the scheduler's lock frees the slot in the
+        same step, and the scheduler can start the next queued job at
+        once.
+        The job's thread, which Python cannot kill, runs on without a
+        slot; :meth:`_finalize` never lets its late result overwrite
+        the ``TIMEOUT``.  ``now`` injects the clock (tests).
+        """
+        current = now if now is not None else time.time()
+        expired: List[JobRecord] = []
+        with self._cond:
+            for record in self.registry.list(JobStatus.RUNNING):
+                deadline = record.deadline_seconds
+                if deadline is None or record.started_at is None \
+                        or current < record.started_at + deadline:
+                    continue
+                with record.lock:
+                    if record.status is not JobStatus.RUNNING:
+                        continue  # finished between list() and lock
+                    record.status = JobStatus.TIMEOUT
+                    record.error = (
+                        f"JobDeadlineExceeded: job {record.job_id} "
+                        f"exceeded its {deadline:.3f}s deadline "
+                        f"(running {current - record.started_at:.3f}s "
+                        f"on {record.worker or 'unknown worker'})")
+                    record.finished_at = current
+                expired.append(record)
+            if expired:
+                self._cond.notify_all()
+        for record in expired:
+            obs.count("serve.jobs_timed_out")
+            self._journal_finish(record)
+        return len(expired)
+
+    def _job_thread(self, record: JobRecord) -> None:
+        """A job thread's body: run the job, then give its slot back."""
+        try:
+            record.start_snapshot = obs.metrics().snapshot()
+            if record.kind == KIND_FUZZ:
+                self._run_fuzz_job(record)
+            else:
+                self._run_job(record)
+        except Exception as exc:  # noqa: BLE001 - fail the job only
+            obs.count("serve.worker_loop_errors")
+            # An exception outside the per-job isolation boundary
+            # (e.g. dispatch) must not strand the record RUNNING.
+            self._strand_failed(record, exc)
+        finally:
+            with self._cond:
+                del self._job_threads[record.job_id]
+                self._cond.notify_all()
 
     def _strand_failed(self, record: JobRecord, exc: BaseException) -> None:
         record.error = exception_chain(exc)
@@ -527,14 +550,10 @@ class AnalysisService:
         obs.count("serve.jobs_stranded")
 
     def _run_job(self, record: JobRecord) -> None:
-        record.status = JobStatus.RUNNING
-        record.started_at = time.time()
-        record.worker = threading.current_thread().name
-        record.start_snapshot = obs.metrics().snapshot()
         try:
             # Write-ahead: a failing start append fails this job (the
             # journal can no longer promise recovery for it) but never
-            # the worker.
+            # the service.
             self._journal_start(record)
             # In-flight coalescing: an identical job may have finished
             # (and filed its report) between submission and now.
@@ -562,11 +581,7 @@ class AnalysisService:
             self._finalize(record, JobStatus.FAILED)
 
     def _run_fuzz_job(self, record: JobRecord) -> None:
-        """Run one fuzz campaign on this worker thread (no store)."""
-        record.status = JobStatus.RUNNING
-        record.started_at = time.time()
-        record.worker = threading.current_thread().name
-        record.start_snapshot = obs.metrics().snapshot()
+        """Run one fuzz campaign on this job thread (no store)."""
         try:
             self._journal_start(record)
             faults.trip("serve.run_job", key=record.implementation)
@@ -587,9 +602,9 @@ class AnalysisService:
     def _finalize(self, record: JobRecord, status: JobStatus,
                   counters: Optional[Dict[str, float]] = None,
                   done_counter: str = "serve.jobs_completed") -> None:
-        """Terminal transition, raced against the watchdog: a record
-        the watchdog already timed out stays ``TIMEOUT`` — the late
-        completion is counted, never resurrected."""
+        """Terminal transition, raced against :meth:`expire`: a record
+        already timed out stays ``TIMEOUT`` — the late completion is
+        counted, never resurrected."""
         with record.lock:
             if record.status in TERMINAL_STATUSES:
                 obs.count("serve.late_completions")
@@ -639,23 +654,3 @@ class AnalysisService:
             self.journal.append_finish(record)
         except Exception:  # noqa: BLE001 - durability must not undo work
             obs.count("serve.journal_append_failures")
-
-    def _rebuild_queue(self) -> None:
-        """Re-derive the queue from the registry (restart path).
-
-        A previous fleet leaves stop sentinels behind, and a draining
-        worker consumes a job id while leaving its record ``QUEUED`` —
-        so on (re)start the registry, not the residual queue, is the
-        source of truth: drop everything queued and re-enqueue every
-        ``QUEUED`` record in submission order.
-        """
-        self._drain_residual_queue()
-        for record in self.registry.list(JobStatus.QUEUED):
-            self._queue.put(record.job_id)
-
-    def _drain_residual_queue(self) -> None:
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                return

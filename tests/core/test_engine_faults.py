@@ -10,6 +10,7 @@ whose healthy verdicts are byte-identical to a fault-free serial run.
 """
 
 import json
+import time
 
 import pytest
 
@@ -264,6 +265,26 @@ class TestPoolResilience:
         counters = engine_counters(report)
         assert counters.get("engine.group_timeouts", 0) >= 1
         assert counters.get("engine.group_degradations", 0) >= 1
+
+    def test_hung_group_is_detected_once_progress_stops(self, baseline):
+        """The group timeout bounds the wait for the next group to
+        finish, not the pass: the full catalog's 34 groups at --jobs 2
+        would otherwise get 17 waves x 2 s = 34 s before the hung
+        group counts as late."""
+        spec = faults.FaultSpec("engine.verify_group", faults.KIND_HANG,
+                                key="SEC-01", hang_seconds=60.0)
+        started = time.monotonic()
+        report = analyze_many([AnalysisConfig(
+            "reference", jobs=2, fault_plan=faults.FaultPlan.of(spec),
+            group_timeout_seconds=2.0)])["reference"]
+        elapsed = time.monotonic() - started
+        assert elapsed < 17.0, f"the hung group was found after {elapsed:.1f}s"
+        assert report.verdict_signature() == baseline.verdict_signature()
+        assert report.counts()["errors"] == 0
+        counters = engine_counters(report)
+        assert counters.get("engine.group_timeouts", 0) >= 1
+        assert counters["engine.group_degradations"] \
+            == counters["engine.group_timeouts"]
 
     def test_clean_pooled_run_reports_no_resilience_events(self, baseline):
         report = analyze_many([AnalysisConfig(

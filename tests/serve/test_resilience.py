@@ -1,6 +1,7 @@
-"""The service resilience layer: journal recovery, drain, watchdog
+"""The service resilience layer: journal recovery, drain, scheduler
 deadlines, backpressure, and the client retry discipline."""
 
+import sys
 import threading
 import time
 
@@ -10,7 +11,8 @@ from repro import faults, obs
 from repro.core import AnalysisConfig
 from repro.serve import (AnalysisService, JobJournal, JobStatus,
                          QueueFullError, ServeClient, ServeClientError,
-                         ServiceDrainingError, Watchdog, create_server)
+                         ServiceDrainingError, create_server)
+from repro.serve import service as service_module
 from repro.store import ResultStore
 
 SMALL = ["SEC-01"]
@@ -226,8 +228,7 @@ class TestWatchdog:
             site="serve.run_job", key="srsue", kind="hang", nth=1,
             scope="all", hang_seconds=1.0)))
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=2,
-                                  watchdog_interval_seconds=0.05)
+                                  workers=2)
         service.start()
         try:
             before = obs.metrics().snapshot()
@@ -244,18 +245,9 @@ class TestWatchdog:
             assert timed_out.elapsed_seconds() <= 0.8
 
             assert _wait(service, other.job_id).status is JobStatus.DONE
-            # The watchdog publishes TIMEOUT before the same scan spawns
-            # the hung worker's replacement: let that scan finish.
-            deadline = time.monotonic() + 5.0
-            while (_counter_delta(before, obs.metrics().snapshot(),
-                                  "serve.workers_respawned") < 1
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
             after = obs.metrics().snapshot()
             assert _counter_delta(before, after,
                                   "serve.jobs_timed_out") == 1
-            assert _counter_delta(before, after,
-                                  "serve.workers_respawned") >= 1
             # Capacity survived: a post-timeout job still completes.
             extra = service.submit(_config("reference", props=SMALL))
             assert _wait(service, extra.job_id).status is JobStatus.DONE
@@ -267,18 +259,17 @@ class TestWatchdog:
         service = AnalysisService(ResultStore(tmp_path / "store"),
                                   workers=1)
         record = service.submit(_config(deadline_seconds=1.0))
-        watchdog = Watchdog(service, interval_seconds=0.05)
         # Not yet running: no deadline applies.
-        assert watchdog.scan(now=record.submitted_at + 100.0) == 0
+        assert service.expire(now=record.submitted_at + 100.0) == 0
         record.status = JobStatus.RUNNING
         record.started_at = 1000.0
-        record.worker = "serve-worker-0"
-        assert watchdog.scan(now=1000.9) == 0
-        assert watchdog.scan(now=1001.1) == 1
+        record.worker = "serve-job-j000001"
+        assert service.expire(now=1000.9) == 0
+        assert service.expire(now=1001.1) == 1
         assert record.status is JobStatus.TIMEOUT
         assert "1.000s deadline" in record.error
-        # Terminal: a second scan finds nothing to do.
-        assert watchdog.scan(now=1002.0) == 0
+        # Terminal: a second pass finds nothing to do.
+        assert service.expire(now=1002.0) == 0
 
     def test_late_completion_cannot_resurrect_a_timeout(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),
@@ -286,7 +277,7 @@ class TestWatchdog:
         record = service.submit(_config(deadline_seconds=0.1))
         record.status = JobStatus.RUNNING
         record.started_at = 0.0
-        Watchdog(service).scan(now=10.0)
+        service.expire(now=10.0)
         assert record.status is JobStatus.TIMEOUT
         before = obs.metrics().snapshot()
         service._finalize(record, JobStatus.DONE, counters={"x": 1})
@@ -295,20 +286,60 @@ class TestWatchdog:
         assert _counter_delta(before, obs.metrics().snapshot(),
                               "serve.late_completions") == 1
 
-    def test_abandoned_worker_is_replaced(self, tmp_path):
+    def test_timeout_frees_the_slot_for_the_next_job(self, tmp_path):
+        # One slot: the job queued behind the hung one can only run if
+        # the timeout hands the slot over while the hang goes on.
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="serve.run_job", key="srsue", kind="hang", nth=1,
+            scope="all", hang_seconds=3.0)))
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=2)
+                                  workers=1)
         service.start()
         try:
-            with service._fleet_lock:
-                victim = service._threads[0].name
-            before = obs.metrics().snapshot()
-            service._abandon_worker(victim)
-            stats = service.stats()
-            assert stats["workers_alive"] == 2
-            assert _counter_delta(before, obs.metrics().snapshot(),
-                                  "serve.workers_respawned") == 1
+            started = time.monotonic()
+            hung = service.submit(_config("srsue", deadline_seconds=0.25))
+            behind = service.submit(_config("reference", props=OTHER))
+            assert service.job(behind.job_id).status is JobStatus.QUEUED
+            done = _wait(service, behind.job_id, timeout=10.0)
+            assert done.status is JobStatus.DONE
+            assert time.monotonic() - started < 3.0, \
+                "the queued job waited for the hang to end"
+            assert service.job(hung.job_id).status is JobStatus.TIMEOUT
         finally:
+            faults.clear()
+            # Joins the hung thread too, so it cannot run on into
+            # another test.
+            service.stop()
+
+    def test_slots_bound_the_jobs_running_at_once(self, tmp_path):
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=3)
+        lock = threading.Lock()
+        running = {"now": 0, "peak": 0}
+
+        def short_job(record):
+            with lock:
+                running["now"] += 1
+                running["peak"] = max(running["peak"], running["now"])
+            time.sleep(0.005)
+            with lock:
+                running["now"] -= 1
+            service._finalize(record, JobStatus.DONE)
+
+        service._run_job = short_job
+        # Queued before the scheduler starts, so it sees all of them.
+        records = [service.submit(_config(props=[f"SEC-{n:02d}"]))
+                   for n in range(1, 25)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        service.start()
+        try:
+            for record in records:
+                assert _wait(service, record.job_id, timeout=30.0).status \
+                    is JobStatus.DONE
+            assert running["peak"] == 3
+        finally:
+            sys.setswitchinterval(switch_interval)
             service.stop()
 
 
@@ -323,6 +354,40 @@ class TestBackpressureAndDrain:
         assert excinfo.value.retry_after_seconds > 0
         assert _counter_delta(before, obs.metrics().snapshot(),
                               "serve.queue_rejections") == 1
+
+    def test_concurrent_submissions_never_overrun_the_bound(self, tmp_path):
+        # Eight distinct jobs released at once against a bound of two:
+        # the bound check and the enqueue must be one step.
+        payloads = [_config(props=[f"SEC-{n:02d}"]) for n in range(1, 9)]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for round_number in range(20):
+                service = AnalysisService(
+                    ResultStore(tmp_path / f"store-{round_number}"),
+                    workers=1, max_queue=2)
+                barrier = threading.Barrier(len(payloads))
+                admitted = []
+
+                def submit(payload):
+                    barrier.wait()
+                    try:
+                        admitted.append(service.submit(payload))
+                    except QueueFullError:
+                        pass
+
+                threads = [threading.Thread(target=submit, args=(payload,))
+                           for payload in payloads]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                    assert not thread.is_alive()
+                assert len(admitted) == 2, \
+                    f"round {round_number}: {len(admitted)} jobs admitted"
+                assert service.stats()["queued"] == 2
+        finally:
+            sys.setswitchinterval(switch_interval)
 
     def test_http_429_and_client_retry_succeeds(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),
@@ -345,7 +410,7 @@ class TestBackpressureAndDrain:
             def free_capacity(_delay):
                 service.start()
                 deadline = time.monotonic() + 10.0
-                while service._queue.qsize() > 0 \
+                while service.stats()["queued"] > 0 \
                         and time.monotonic() < deadline:
                     time.sleep(0.01)
 
@@ -372,12 +437,13 @@ class TestBackpressureAndDrain:
         finally:
             service.stop()
 
-    def test_drain_leaves_queued_jobs_queued(self, tmp_path):
+    def test_drain_leaves_queued_jobs_queued(self, tmp_path, monkeypatch):
         faults.install(faults.FaultPlan.of(faults.FaultSpec(
             site="serve.run_job", key="srsue", kind="hang", nth=1,
             scope="all", hang_seconds=0.8)))
+        monkeypatch.setattr(service_module, "JOIN_TIMEOUT_SECONDS", 0.1)
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=1, join_timeout_seconds=0.1)
+                                  workers=1)
         service.start()
         try:
             busy = service.submit(_config("srsue"))
@@ -385,9 +451,10 @@ class TestBackpressureAndDrain:
             parked = service.submit(_config("srsue", props=OTHER))
             service.drain(wait=False)
             time.sleep(0.3)
-            # The lone worker is still hung on the first job, and a
-            # draining worker must not pick up the second even once
-            # free — it stays QUEUED for the next incarnation.
+            # The lone slot is still held by the hung first job, and a
+            # draining scheduler must not start the second even once
+            # the slot is free — it stays QUEUED for the next
+            # incarnation.
             assert service.job(parked.job_id).status is JobStatus.QUEUED
         finally:
             faults.clear()
@@ -486,12 +553,14 @@ class TestStopLifecycle:
         finally:
             service.stop()
 
-    def test_leaked_threads_are_counted_and_surfaced(self, tmp_path):
+    def test_leaked_threads_are_counted_and_surfaced(self, tmp_path,
+                                                     monkeypatch):
         faults.install(faults.FaultPlan.of(faults.FaultSpec(
             site="serve.run_job", key="srsue", kind="hang", nth=1,
             scope="all", hang_seconds=1.5)))
+        monkeypatch.setattr(service_module, "JOIN_TIMEOUT_SECONDS", 0.1)
         service = AnalysisService(ResultStore(tmp_path / "store"),
-                                  workers=1, join_timeout_seconds=0.1)
+                                  workers=1)
         service.start()
         try:
             hung = service.submit(_config("srsue"))

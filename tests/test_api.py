@@ -8,6 +8,7 @@ import repro.core
 import repro.core.report
 import repro.mc
 import repro.mc.checker
+import repro.serve
 
 #: Names deleted from the public surface, with the object that held them.
 REMOVED = [
@@ -32,6 +33,8 @@ REMOVED = [
     (repro.core.report, "VERDICT_NOT_APPLICABLE"),
     (repro.core.report, "VERDICT_ERROR"),
     (repro.core.report.PropertyResult, "verdict"),
+    (repro.serve, "Watchdog"),
+    (api, "Watchdog"),
 ]
 
 
