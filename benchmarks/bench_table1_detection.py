@@ -50,7 +50,8 @@ def test_full_pipeline(benchmark, implementation):
         lambda: ProChecker.from_config(config).analyze(),
         rounds=1, iterations=1)
     # One full analysis = exactly one conformance run + extraction.
-    assert extraction_cache.stats()["conformance_runs"] == 1
+    runtime = report.stats.runtime["metrics"]["counters"]
+    assert runtime["extraction.cache_misses"] == 1
     detected = report.detected_attacks()
     for attack, expectations in TABLE_I_NEW.items():
         assert (attack in detected) == expectations[implementation], attack

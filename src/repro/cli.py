@@ -451,7 +451,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             seed=args.seed,
             budget_execs=args.budget_execs,
             max_steps=args.max_steps,
-            jobs=args.jobs,
             corpus_dir=args.corpus_dir,
         )
     except FuzzConfigError as exc:
@@ -721,12 +720,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="lockstep executions to spend (default 400)")
     fuzz.add_argument("--seed", type=int, default=0, metavar="S",
                       help="campaign PRNG seed (default 0); same seed = "
-                           "byte-identical campaign at any --jobs width")
+                           "byte-identical campaign")
     fuzz.add_argument("--max-steps", type=int, default=8, metavar="N",
                       help="schedule length cap (default 8)")
     fuzz.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                      help="parallel executor threads (default 1); "
-                           "results are independent of this width")
+                      help="ignored (a campaign runs on one thread)")
     fuzz.add_argument("--corpus-dir", metavar="DIR", default=None,
                       help="persist the corpus and minimised deviation "
                            "artifacts under DIR (reloaded as seeds on "

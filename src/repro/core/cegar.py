@@ -262,8 +262,6 @@ class CegarContext:
         self._lock = threading.Lock()
         self._validator: Optional[CounterexampleValidator] = None
         self._models: Dict[Tuple, Model] = {}
-        self.model_builds = 0
-        self.model_hits = 0
         #: the run's one supported checking entry point; with a cache
         #: directory configured, verdicts persist across runs
         self.checker = ModelChecker(
@@ -289,13 +287,11 @@ class CegarContext:
         with self._lock:
             model = self._models.get(key)
             if model is None:
-                self.model_builds += 1
                 obs.count("cegar.model_cache_misses")
                 model = ThreatInstrumentor(self.ue_fsm, self.mme_fsm,
                                            config).build("IMP_shared")
                 self._models[key] = model
             else:
-                self.model_hits += 1
                 obs.count("cegar.model_cache_hits")
             return model
 

@@ -259,9 +259,10 @@ class ExtractionCache:
 
     Keyed by implementation plus, for chaos runs, the chaos spec and the
     consensus width; every entry is an extraction of the full
-    conformance suite.  The ``conformance_runs``
-    counter exists so callers (and tests) can assert that a full
-    analysis executes exactly one conformance run per implementation.
+    conformance suite.  Each build counts ``extraction.cache_misses``
+    and each reuse ``extraction.cache_hits``, so a
+    :func:`repro.obs.metrics_scope` around an analysis shows that it
+    executed exactly one conformance run per implementation.
 
     Concurrency: misses build under a *per-key* lock, so two threads
     extracting different implementations proceed in parallel and only
@@ -272,8 +273,6 @@ class ExtractionCache:
         self._lock = threading.RLock()
         self._records: Dict[Tuple, ExtractionRecord] = {}
         self._building: Dict[Tuple, threading.Lock] = {}
-        self.conformance_runs = 0
-        self.hits = 0
 
     @classmethod
     def fingerprint(cls, implementation: str,
@@ -289,7 +288,6 @@ class ExtractionCache:
         with self._lock:
             record = self._records.get(key)
             if record is not None:
-                self.hits += 1
                 obs.count("extraction.cache_hits")
             return record
 
@@ -313,7 +311,6 @@ class ExtractionCache:
             record = run_extraction(implementation, chaos=chaos,
                                     chaos_runs=chaos_runs)
             with self._lock:
-                self.conformance_runs += 1
                 self._records[key] = record
                 self._building.pop(key, None)
             return record
@@ -322,14 +319,6 @@ class ExtractionCache:
         with self._lock:
             self._records.clear()
             self._building.clear()
-            self.conformance_runs = 0
-            self.hits = 0
-
-    def stats(self) -> Dict[str, int]:
-        with self._lock:
-            return {"entries": len(self._records),
-                    "conformance_runs": self.conformance_runs,
-                    "hits": self.hits}
 
 
 #: The process-wide singleton every pipeline entry point goes through.
@@ -663,7 +652,7 @@ class VerificationEngine:
                 else:
                     group_results, spans, metrics = future.result()
                     obs.adopt_spans(spans)
-                    obs.metrics().merge(metrics)
+                    obs.merge(metrics)
                     for identifier, result in group_results:
                         outcomes[(task[0], identifier)] = result
                     continue

@@ -32,7 +32,6 @@ from ..baselines import lteinspector_mme
 from ..fsm import FiniteStateMachine
 from ..lte.implementations import REGISTRY
 from ..obs.stats import PipelineStats
-from ..obs.metrics import diff_snapshots
 from ..properties.spec import Property
 from .cegar import CegarContext
 from .engine import (AnalysisConfig, ImplementationRun, VerificationEngine,
@@ -202,15 +201,15 @@ def _analyze(checkers: Sequence[ProChecker],
     if plan is not None:
         faults.install(plan)
     try:
-        before = obs.metrics().snapshot()
         batch = ",".join(checker.implementation for checker in checkers)
-        with obs.span("pipeline.analyze", implementation=batch) as root:
+        with obs.metrics_scope() as scope, \
+                obs.span("pipeline.analyze", implementation=batch) as root:
             runs = [checker._implementation_run() for checker in checkers]
             engine = VerificationEngine(jobs, group_timeout=group_timeout)
             with obs.span("pipeline.verify", implementation=batch,
                           jobs=engine.jobs) as vspan:
                 outcomes = engine.verify(runs)
-        metrics_delta = diff_snapshots(before, obs.metrics().snapshot())
+        metrics = scope.snapshot()
     finally:
         if plan is not None:
             faults.install(previous_plan)
@@ -226,7 +225,7 @@ def _analyze(checkers: Sequence[ProChecker],
         # attribute, so each report sees only its own rollups.
         report.stats = PipelineStats.collect(
             root, report.results, checker.implementation, engine.jobs,
-            metrics_delta)
+            metrics)
         reports[checker.implementation] = report
     return reports
 

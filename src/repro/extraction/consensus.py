@@ -193,13 +193,12 @@ def consensus_extract(implementation: str,
                   chaos=chaos.describe()):
         for index in range(runs):
             seeded = chaos.with_seed(chaos.seed + index)
-            before = obs.metrics().snapshot()["counters"]
-            outcome = run_conformance(implementation, suite,
-                                      instrument=True, chaos=seeded)
-            after = obs.metrics().snapshot()["counters"]
+            with obs.metrics_scope() as scope:
+                outcome = run_conformance(implementation, suite,
+                                          instrument=True, chaos=seeded)
+            counters = scope.snapshot()["counters"]
             for counter in CHAOS_COUNTERS:
-                impairments[counter] += int(
-                    after.get(counter, 0) - before.get(counter, 0))
+                impairments[counter] += int(counters.get(counter, 0))
             fsm, stats = extract_model(outcome.log_text, table, name=name)
             fsms.append(fsm)
             extraction_seconds += stats.elapsed_seconds

@@ -6,9 +6,8 @@ against the target *and* the compliant reference, extracted-FSM
 transition coverage drives corpus retention (CovFUZZ's feedback signal
 over "Learn, Check, Test"'s oracle), and every divergence is
 delta-debugged into a replayable, content-addressed
-:class:`Deviation` artifact.  Campaigns are deterministic and
-width-invariant: ``(implementation, seed, budget)`` fixes every digest
-regardless of ``--jobs``.
+:class:`Deviation` artifact.  Campaigns are deterministic:
+``(implementation, seed, budget)`` fixes every digest.
 
 Surfaces: ``repro fuzz`` (CLI, exit code 6 on findings), the ``fuzz``
 job type of :mod:`repro.serve`, and ``benchmarks/bench_fuzz.py``.

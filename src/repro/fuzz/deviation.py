@@ -10,9 +10,9 @@ smallest stimulus program this reduction finds, stable under re-runs.
 
 The artifact digest is a sha256 over the canonical JSON of everything
 that determines the deviation (implementations, minimised schedule,
-observed/expected vectors), so identical campaigns — at any ``--jobs``
-width — file byte-identical artifacts, the same content-address
-discipline :func:`repro.store.job_digest` uses for analysis reports.
+observed/expected vectors), so identical campaigns file byte-identical
+artifacts, the same content-address discipline
+:func:`repro.store.job_digest` uses for analysis reports.
 
 :func:`classify` maps a deviation onto the paper's Table I issue ids
 *post hoc* — it is labelling for reports and CI assertions; discovery

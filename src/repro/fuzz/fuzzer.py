@@ -1,13 +1,13 @@
-"""The coverage-guided campaign loop: corpus scheduler + worker pool.
+"""The coverage-guided campaign loop: a seeded corpus scheduler.
 
-Determinism contract (the ``mc.*`` width-invariance discipline, applied
-to fuzzing): a campaign is a pure function of ``(implementation, seed,
-budget_execs, max_steps)``.  Candidate generation happens on the
-scheduler thread from one seeded PRNG against the corpus state at batch
-start; executions are side-effect-free; results fold back in batch
-order.  ``--jobs`` only sets the thread-pool width inside a batch, so
-``--jobs 1`` and ``--jobs 4`` produce byte-identical deviation digests,
-corpus contents and coverage counters.
+Determinism contract: a campaign is a pure function of
+``(implementation, seed, budget_execs, max_steps)``.  Candidates are
+generated in fixed-size batches from one seeded PRNG against the corpus
+state at batch start; each batch then executes on the campaign's own
+thread, in batch order, and its results fold back in that order — so a
+rerun produces byte-identical deviation digests, corpus contents and
+coverage counters.  (Executions are CPU-bound pure Python: a thread
+pool only added GIL contention.)
 
 Feedback is two-tier, per CovFUZZ adapted to "Learn, Check, Test":
 
@@ -26,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -50,9 +49,8 @@ class FuzzConfigError(FuzzError, ValueError):
     """Raised for an invalid campaign configuration payload."""
 
 
-#: Candidates generated per scheduling round.  Fixed — never derived
-#: from ``jobs`` — because batch composition is part of the
-#: deterministic schedule; ``jobs`` may only change who executes what.
+#: Candidates generated per scheduling round.  Fixed, because batch
+#: composition is part of the deterministic schedule.
 BATCH_SIZE = 8
 
 #: Per-campaign cap on minimisation work (each deviation costs tens of
@@ -69,7 +67,6 @@ class FuzzConfig:
     seed: int = 0
     budget_execs: int = 400
     max_steps: int = DEFAULT_MAX_STEPS
-    jobs: int = 1
     corpus_dir: Optional[str] = None
     reference: str = "reference"
 
@@ -85,8 +82,6 @@ class FuzzConfig:
             raise FuzzConfigError("budget_execs must be >= 1")
         if self.max_steps < 1:
             raise FuzzConfigError("max_steps must be >= 1")
-        if self.jobs < 1:
-            raise FuzzConfigError("jobs must be >= 1")
 
     def to_dict(self) -> Dict[str, object]:
         return schema.stamp({
@@ -95,7 +90,6 @@ class FuzzConfig:
             "seed": self.seed,
             "budget_execs": self.budget_execs,
             "max_steps": self.max_steps,
-            "jobs": self.jobs,
             "corpus_dir": self.corpus_dir,
             "reference": self.reference,
         })
@@ -110,7 +104,6 @@ class FuzzConfig:
                 budget_execs=int(payload.get("budget_execs", 400)),
                 max_steps=int(payload.get("max_steps",
                                           DEFAULT_MAX_STEPS)),
-                jobs=int(payload.get("jobs", 1)),
                 corpus_dir=payload.get("corpus_dir"),
                 reference=str(payload.get("reference", "reference")),
             )
@@ -126,9 +119,8 @@ class FuzzConfig:
 def campaign_digest(config: FuzzConfig) -> str:
     """Content address of a campaign's deterministic identity.
 
-    ``jobs`` and ``corpus_dir`` are excluded: width never changes the
-    outcome (the invariance contract) and the corpus directory is a
-    persistence location, not an input.
+    ``corpus_dir`` is excluded: the corpus directory is a persistence
+    location, not an input.
     """
     identity = {
         "kind": "fuzz",
@@ -215,39 +207,33 @@ class Fuzzer:
         execs = 0
         minimize_execs = 0
 
-        pool = (ThreadPoolExecutor(max_workers=config.jobs)
-                if config.jobs > 1 else None)
-        try:
-            while execs < config.budget_execs:
-                batch = self._next_batch(
-                    pending, corpus, config.budget_execs - execs)
-                results = self._execute(pool, batch)
-                for steps, result in zip(batch, results):
-                    execs += 1
-                    obs.count("fuzz.execs")
-                    novel = result.coverage - coverage
-                    if novel or not corpus:
-                        coverage |= novel
-                        digest = schedule_digest(steps)
-                        if digest not in corpus_digests:
-                            corpus_digests.add(digest)
-                            corpus.append(steps)
-                            self._persist_corpus_entry(digest, steps)
-                    if result.diverged:
-                        spent = self._fold_divergence(
-                            steps, result, execs, seen_signatures,
-                            deviations)
-                        minimize_execs += spent
-                trajectory.append({
-                    "execs": execs,
-                    "coverage": len(coverage & universe),
-                    "frontier": len(coverage - universe),
-                    "corpus_size": len(corpus),
-                    "deviations": len(deviations),
-                })
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        while execs < config.budget_execs:
+            batch = self._next_batch(
+                pending, corpus, config.budget_execs - execs)
+            for steps in batch:
+                result = self._run_one(steps)
+                execs += 1
+                obs.count("fuzz.execs")
+                novel = result.coverage - coverage
+                if novel or not corpus:
+                    coverage |= novel
+                    digest = schedule_digest(steps)
+                    if digest not in corpus_digests:
+                        corpus_digests.add(digest)
+                        corpus.append(steps)
+                        self._persist_corpus_entry(digest, steps)
+                if result.diverged:
+                    spent = self._fold_divergence(
+                        steps, result, execs, seen_signatures,
+                        deviations)
+                    minimize_execs += spent
+            trajectory.append({
+                "execs": execs,
+                "coverage": len(coverage & universe),
+                "frontier": len(coverage - universe),
+                "corpus_size": len(corpus),
+                "deviations": len(deviations),
+            })
 
         obs.gauge_max("fuzz.corpus_size", len(corpus))
         obs.gauge_max("fuzz.coverage_transitions",
@@ -288,13 +274,6 @@ class Fuzzer:
             batch.append(mutate_schedule(parent, self._rng,
                                          self.config.max_steps))
         return batch
-
-    def _execute(self, pool: Optional[ThreadPoolExecutor],
-                 batch: Sequence[List[Step]]) -> List[ExecutionResult]:
-        runner = self._run_one
-        if pool is None:
-            return [runner(steps) for steps in batch]
-        return list(pool.map(runner, batch))
 
     def _run_one(self, steps: Sequence[Step]) -> ExecutionResult:
         return run_schedule(self.config.implementation, steps,

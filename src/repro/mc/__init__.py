@@ -27,8 +27,8 @@ from .expr import (And, Compare, Const, Expr, ExprError, FALSE, Not, Or,
 from .ltl import (Atom, F, Formula, G, Implies, LTLError, R, U, X, And_,
                   Or_, Not_, LTL_FALSE, LTL_TRUE, atom, closure_size,
                   parse_ltl)
-from .buchi import (BuchiAutomaton, buchi_cache_stats, clear_buchi_cache,
-                    ltl_to_buchi, normalise_ltl, normalised_key)
+from .buchi import (BuchiAutomaton, clear_buchi_cache, ltl_to_buchi,
+                    normalise_ltl, normalised_key)
 from .model import (Choice, Command, Model, ModelError, Plus, Ref, Variable)
 from .graph import StateGraph
 from .checker import as_invariant, formula_to_expr
@@ -43,7 +43,7 @@ __all__ = [
     "Atom", "F", "Formula", "G", "Implies", "LTLError", "R", "U", "X",
     "And_", "Or_", "Not_", "LTL_FALSE", "LTL_TRUE", "atom", "closure_size",
     "parse_ltl",
-    "BuchiAutomaton", "buchi_cache_stats", "clear_buchi_cache",
+    "BuchiAutomaton", "clear_buchi_cache",
     "ltl_to_buchi", "normalise_ltl", "normalised_key",
     "Choice", "Command", "Model", "ModelError", "Plus", "Ref", "Variable",
     "StateGraph",

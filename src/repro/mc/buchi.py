@@ -343,8 +343,6 @@ class _BuchiTemplate:
 
 _TEMPLATE_LOCK = threading.Lock()
 _TEMPLATE_CACHE: Dict[Shape, _BuchiTemplate] = {}
-_TEMPLATE_HITS = 0
-_TEMPLATE_MISSES = 0
 
 
 def _build_template(shape: Shape, arity: int) -> _BuchiTemplate:
@@ -369,21 +367,10 @@ def _build_template(shape: Shape, arity: int) -> _BuchiTemplate:
     )
 
 
-def buchi_cache_stats() -> Dict[str, int]:
-    """Template-cache warmth of this process (for tests/telemetry)."""
-    with _TEMPLATE_LOCK:
-        return {"entries": len(_TEMPLATE_CACHE),
-                "hits": _TEMPLATE_HITS,
-                "misses": _TEMPLATE_MISSES}
-
-
 def clear_buchi_cache() -> None:
-    """Drop all memoised templates and counters (test isolation hook)."""
-    global _TEMPLATE_HITS, _TEMPLATE_MISSES
+    """Drop all memoised templates (test isolation hook)."""
     with _TEMPLATE_LOCK:
         _TEMPLATE_CACHE.clear()
-        _TEMPLATE_HITS = 0
-        _TEMPLATE_MISSES = 0
 
 
 def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
@@ -393,7 +380,6 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
     on a hit, the cached template is instantiated with this formula's
     atoms instead of re-running the tableau construction.
     """
-    global _TEMPLATE_HITS, _TEMPLATE_MISSES
     shape, atoms = normalise_ltl(formula)
     with _TEMPLATE_LOCK:
         template = _TEMPLATE_CACHE.get(shape)
@@ -401,11 +387,8 @@ def ltl_to_buchi(formula: Formula) -> BuchiAutomaton:
         template = _build_template(shape, len(atoms))
         with _TEMPLATE_LOCK:
             template = _TEMPLATE_CACHE.setdefault(shape, template)
-            _TEMPLATE_MISSES += 1
         obs.count("mc.buchi_template_misses")
     else:
-        with _TEMPLATE_LOCK:
-            _TEMPLATE_HITS += 1
         obs.count("mc.buchi_template_hits")
     return template.instantiate(atoms)
 

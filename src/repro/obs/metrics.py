@@ -1,7 +1,8 @@
 """Process-safe metrics registry: counters, gauges, histograms.
 
-Each process owns one :class:`MetricsRegistry` (workers get a fresh one
-from the pool initializer); instruments are thread-safe within a process
+Each process owns one :class:`MetricsRegistry`, plus one per open
+:func:`repro.obs.metrics_scope` (workers get a fresh one from the pool
+initializer); instruments are thread-safe within a process
 and cross the pool boundary as plain-dict snapshots that merge
 *commutatively* — counters and histogram bins sum, gauges take the max —
 so the aggregate is identical regardless of worker scheduling.

@@ -63,7 +63,8 @@ class PipelineStats:
     verdicts: Dict[str, int] = field(default_factory=dict)
     #: per-phase observation: span name -> {"count", "seconds"}
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: runtime metrics (registry delta, worker utilisation, wall-clock)
+    #: runtime metrics (the run's metrics scope, worker utilisation,
+    #: wall-clock)
     runtime: Dict = field(default_factory=dict)
 
     # ------------------------------------------------------------------

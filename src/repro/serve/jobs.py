@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .. import schema
+from ..obs import MetricsRegistry
 
 
 class JobStatus(str, enum.Enum):
@@ -65,11 +66,11 @@ class JobRecord:
     deadline_seconds: Optional[float] = None
     #: name of the thread that ran the job ("" for submit-time hits)
     worker: str = ""
-    #: per-job metrics-registry delta (engine.*/mc.*/fuzz.* counters);
-    #: empty for store hits — that emptiness is the "zero work" hook
+    #: the job's own registry counters (engine.*/mc.*/fuzz.*); empty
+    #: for store hits — that emptiness is the "zero work" hook
     counters: Dict[str, float] = field(default_factory=dict)
-    #: registry snapshot at job start (progress baseline; not serialized)
-    start_snapshot: Optional[Dict] = None
+    #: the job's metrics scope while it runs (progress; not serialized)
+    scope: Optional[MetricsRegistry] = None
     #: inline result summary for jobs whose output is not store-backed
     #: (fuzz campaigns file their ``FuzzResult.summary()`` here)
     result: Optional[Dict] = None

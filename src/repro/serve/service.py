@@ -13,8 +13,8 @@ queue always holds exactly the ``QUEUED`` jobs, in submission order.
 Every job travels one of two paths:
 
 - **store hit** — the job's content address is already filed: the record
-  is marked ``DONE`` *at submission time*, with ``store_hit=True`` and an
-  empty per-job counter delta.  No extraction, no model checking — the
+  is marked ``DONE`` *at submission time*, with ``store_hit=True`` and
+  empty per-job counters.  No extraction, no model checking — the
   acceptance criterion "second identical submission consumes zero
   ``engine.*``/``mc.*`` work" is checked against exactly this emptiness.
 - **cold run** — once a slot is free, the scheduler starts the job on a
@@ -49,7 +49,8 @@ Resilience layer:
   (:meth:`AnalysisService.expire`), so the next queued job starts at
   once.  Python cannot kill a thread: the hung one runs on without a
   slot, and its late result is counted (``serve.late_completions``),
-  never applied.
+  never applied.  :meth:`AnalysisService.stop` does not wait for it: it
+  counts as leaked at once.
 - **backpressure** — with ``max_queue`` set, submissions beyond the
   queue bound raise :class:`QueueFullError`, which the HTTP layer maps
   to ``429`` + ``Retry-After``; :class:`~repro.serve.client.ServeClient`
@@ -57,14 +58,13 @@ Resilience layer:
   the enqueue are one step under the scheduler's lock, so concurrent
   submissions cannot overrun the bound.
 
-Per-job telemetry: the finished report's
-``stats.runtime["metrics"]["counters"]`` delta (which includes the
-engine's resilience counters ``engine.group_*``) is copied onto the
-job record; fuzz jobs file their registry delta
-(the ``fuzz.*`` work counters) the same way.  The metrics registry is
-process-wide, so with overlapping jobs a delta can attribute a
-neighbour's counters; it is exact whenever jobs do not overlap (and
-always exact about a store hit, whose delta is empty by construction).
+Per-job telemetry: each job thread runs its job inside a
+:func:`repro.obs.metrics_scope`, so a job's counters are its own work
+however many jobs overlap.  A finished analysis files its report's
+``stats.runtime["metrics"]["counters"]`` (which include the engine's
+resilience counters ``engine.group_*``) on the job record; a fuzz job
+files its scope's counters (the ``fuzz.*`` work counters); a store hit
+files none.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from .. import faults, obs
 from ..core.engine import exception_chain
 from ..core.prochecker import AnalysisConfig, ProChecker
 from ..fuzz import FuzzConfig, Fuzzer, campaign_digest
-from ..obs.metrics import diff_snapshots
 from ..store import ResultStore, job_digest, job_key
 from .jobs import (KIND_FUZZ, TERMINAL_STATUSES, JobRecord, JobRegistry,
                    JobStatus)
@@ -193,10 +192,10 @@ class AnalysisService:
         """Stop the scheduler.  Queued jobs are left ``QUEUED``
         (journaled — a restart or a fresh :meth:`start` picks them back
         up); running jobs finish on their own threads.  With
-        ``wait=True`` each job thread still alive (a timed-out job's
-        too) gets :data:`JOIN_TIMEOUT_SECONDS` to finish; one still
-        alive after that is counted as leaked.  Idempotent, and
-        restartable: ``stop()`` then ``start()`` starts a fresh
+        ``wait=True`` each running job's thread gets
+        :data:`JOIN_TIMEOUT_SECONDS` to finish; one still alive after
+        that, or a timed-out job's, is counted as leaked.  Idempotent,
+        and restartable: ``stop()`` then ``start()`` starts a fresh
         scheduler over the same registry and queue.
         """
         with self._cond:
@@ -205,12 +204,13 @@ class AnalysisService:
                 return
             self._stopping = True
             self._cond.notify_all()
-            threads = list(self._job_threads.values())
+            threads = dict(self._job_threads)
         scheduler.join()
         if wait:
-            for thread in threads:
-                thread.join(timeout=JOIN_TIMEOUT_SECONDS)
-            self._leaked = [thread.name for thread in threads
+            for job_id, thread in threads.items():
+                if self.registry.get(job_id).status is not JobStatus.TIMEOUT:
+                    thread.join(timeout=JOIN_TIMEOUT_SECONDS)
+            self._leaked = [thread.name for thread in threads.values()
                             if thread.is_alive()]
             if self._leaked:
                 obs.count("serve.stop_leaked_threads", len(self._leaked))
@@ -385,18 +385,16 @@ class AnalysisService:
         return self.store.get(digest)
 
     def progress(self, job_id: str) -> Dict:
-        """Live progress of one job, from the :mod:`repro.obs` registry.
+        """Live progress of one job.
 
-        For a running job: elapsed wall-clock plus the counter delta
-        since the job started (process-wide attribution — see module
-        docstring).  For a finished job: the final per-job counters.
+        For a running job: elapsed wall-clock plus the counters of its
+        metrics scope so far.  For a finished job: the final per-job
+        counters.
         """
         record = self.registry.get(job_id)
-        if record.status is JobStatus.RUNNING \
-                and record.start_snapshot is not None:
-            delta = diff_snapshots(record.start_snapshot,
-                                   obs.metrics().snapshot())
-            counters = delta.get("counters", {})
+        scope = record.scope
+        if record.status is JobStatus.RUNNING and scope is not None:
+            counters = scope.snapshot()["counters"]
         else:
             counters = dict(record.counters)
         return {
@@ -527,19 +525,21 @@ class AnalysisService:
         return len(expired)
 
     def _job_thread(self, record: JobRecord) -> None:
-        """A job thread's body: run the job, then give its slot back."""
+        """A job thread's body: run the job in its own metrics scope,
+        then give its slot back."""
         try:
-            record.start_snapshot = obs.metrics().snapshot()
-            if record.kind == KIND_FUZZ:
-                self._run_fuzz_job(record)
-            else:
-                self._run_job(record)
+            with obs.metrics_scope() as record.scope:
+                if record.kind == KIND_FUZZ:
+                    self._run_fuzz_job(record)
+                else:
+                    self._run_job(record)
         except Exception as exc:  # noqa: BLE001 - fail the job only
             obs.count("serve.worker_loop_errors")
             # An exception outside the per-job isolation boundary
             # (e.g. dispatch) must not strand the record RUNNING.
             self._strand_failed(record, exc)
         finally:
+            record.scope = None
             with self._cond:
                 del self._job_threads[record.job_id]
                 self._cond.notify_all()
@@ -590,10 +590,8 @@ class AnalysisService:
                           implementation=record.implementation):
                 result = Fuzzer(config).run()
             record.result = result.summary()
-            delta = diff_snapshots(record.start_snapshot,
-                                   obs.metrics().snapshot())
             self._finalize(record, JobStatus.DONE,
-                           counters=dict(delta.get("counters", {})),
+                           counters=record.scope.snapshot()["counters"],
                            done_counter="serve.fuzz_jobs_completed")
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             record.error = exception_chain(exc)

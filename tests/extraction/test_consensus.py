@@ -1,10 +1,13 @@
 """Consensus FSM extraction under chaos-perturbed radio links."""
 
+import threading
+
 import pytest
 
-from repro.conformance import standard_suite
+from repro.conformance import full_suite, standard_suite
 from repro.extraction import (ConsensusError, StabilityReport,
                               consensus_extract, merge_with_support)
+from repro.extraction import consensus as consensus_module
 from repro.core.engine import run_extraction
 from repro.fsm import FiniteStateMachine
 from repro.lte.channel import ChaosConfig, ImpairmentRates
@@ -157,3 +160,52 @@ class TestEngineIntegration:
                                 chaos=ChaosConfig.default(), chaos_runs=1)
         assert record.stability is None
         assert record.fsm.transitions
+
+
+class TestConcurrentImpairments:
+    """``impairments`` enters the stored stability report, so an
+    extraction must count only its own channel impairments while
+    another one runs on a second thread."""
+
+    CHAOS = ChaosConfig.parse("drop=0.2,dup=0.1", seed=3)
+    IMPLEMENTATIONS = ("reference", "srsue")
+
+    def _impairments(self, implementation):
+        suite = full_suite(implementation)[:12]
+        outcome = consensus_extract(implementation, self.CHAOS, runs=2,
+                                    cases=suite)
+        return outcome.report.impairments
+
+    def test_overlapping_extractions_report_their_solo_impairments(
+            self, monkeypatch):
+        solo = {implementation: self._impairments(implementation)
+                for implementation in self.IMPLEMENTATIONS}
+        assert all(sum(counts.values()) > 0 for counts in solo.values())
+
+        # Lockstep: both threads start each conformance run together
+        # and neither returns from it before the other's run is done,
+        # so every run overlaps the other thread's.
+        barrier = threading.Barrier(len(self.IMPLEMENTATIONS),
+                                    timeout=60.0)
+        run_conformance = consensus_module.run_conformance
+
+        def lockstep(*args, **kwargs):
+            barrier.wait()
+            outcome = run_conformance(*args, **kwargs)
+            barrier.wait()
+            return outcome
+
+        monkeypatch.setattr(consensus_module, "run_conformance", lockstep)
+        overlapped = {}
+
+        def extract(implementation):
+            overlapped[implementation] = self._impairments(implementation)
+
+        threads = [threading.Thread(target=extract, args=(implementation,))
+                   for implementation in self.IMPLEMENTATIONS]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
+        assert overlapped == solo

@@ -72,32 +72,11 @@ class TestDeterminism:
         assert (json.dumps(again.summary(), sort_keys=True)
                 == json.dumps(srsue_result.summary(), sort_keys=True))
 
-    def test_jobs_width_is_invariant(self):
-        """Satellite: identical (seed, corpus) at --jobs 1 vs --jobs 4
-        produce byte-identical deviation digests and coverage counters."""
-        def measure(jobs):
-            before = obs.metrics().snapshot()
-            result = small_campaign("srsue", budget=96, jobs=jobs)
-            delta = diff_snapshots(before, obs.metrics().snapshot())
-            counters = {key: value
-                        for key, value in delta["counters"].items()
-                        if key.startswith("fuzz.")}
-            return result, counters
-
-        narrow, narrow_counters = measure(1)
-        wide, wide_counters = measure(4)
-        assert ([d.digest for d in narrow.deviations]
-                == [d.digest for d in wide.deviations])
-        assert (json.dumps(narrow.summary(), sort_keys=True)
-                == json.dumps(wide.summary(), sort_keys=True))
-        assert narrow_counters == wide_counters
-
-    def test_campaign_digest_excludes_width_and_location(self, tmp_path):
+    def test_campaign_digest_excludes_location(self, tmp_path):
         base = FuzzConfig("srsue", seed=1)
-        wide = FuzzConfig("srsue", seed=1, jobs=4,
-                          corpus_dir=str(tmp_path))
+        stored = FuzzConfig("srsue", seed=1, corpus_dir=str(tmp_path))
         other = FuzzConfig("srsue", seed=2)
-        assert campaign_digest(base) == campaign_digest(wide)
+        assert campaign_digest(base) == campaign_digest(stored)
         assert campaign_digest(base) != campaign_digest(other)
 
     def test_fuzz_counters_emitted(self):
@@ -173,7 +152,6 @@ class TestConfigValidation:
         {"implementation": "nope"},
         {"implementation": "srsue", "budget_execs": 0},
         {"implementation": "srsue", "max_steps": 0},
-        {"implementation": "srsue", "jobs": 0},
         {"implementation": "srsue", "reference": "nope"},
     ])
     def test_bad_configs_rejected(self, kwargs):
@@ -181,5 +159,13 @@ class TestConfigValidation:
             FuzzConfig(**kwargs)
 
     def test_config_wire_round_trip(self):
-        config = FuzzConfig("oai", seed=9, budget_execs=50, jobs=2)
+        config = FuzzConfig("oai", seed=9, budget_execs=50)
         assert FuzzConfig.from_dict(config.to_dict()) == config
+
+    def test_payload_with_a_width_still_loads(self):
+        # Payloads and journal entries written while campaigns had a
+        # thread-pool width carry a "jobs" key; it is ignored.
+        config = FuzzConfig("oai", seed=9, budget_execs=50)
+        assert "jobs" not in config.to_dict()
+        legacy = dict(config.to_dict(), jobs=4)
+        assert FuzzConfig.from_dict(legacy) == config

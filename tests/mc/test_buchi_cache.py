@@ -3,8 +3,9 @@ compiled automaton; distinct shapes or arities do not collide."""
 
 import pytest
 
-from repro.mc import (buchi_cache_stats, clear_buchi_cache, ltl_to_buchi,
-                      normalise_ltl, normalised_key, parse_ltl)
+from repro import obs
+from repro.mc import (clear_buchi_cache, ltl_to_buchi, normalise_ltl,
+                      normalised_key, parse_ltl)
 
 VOCAB_A = ["c"]
 VOCAB_B = ["x"]
@@ -15,6 +16,16 @@ def fresh_cache():
     clear_buchi_cache()
     yield
     clear_buchi_cache()
+
+
+def template_traffic(scope):
+    """Template-cache traffic seen by ``scope``.  Each test starts from
+    an empty cache, so every miss since then added one entry."""
+    counters = scope.snapshot()["counters"]
+    misses = counters.get("mc.buchi_template_misses", 0)
+    return {"entries": misses,
+            "hits": counters.get("mc.buchi_template_hits", 0),
+            "misses": misses}
 
 
 class TestNormalisation:
@@ -47,18 +58,20 @@ class TestNormalisation:
 
 class TestTemplateCache:
     def test_alpha_renamed_pair_hits_one_entry(self):
-        ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
-        stats = buchi_cache_stats()
-        assert stats == {"entries": 1, "hits": 0, "misses": 1}
-        ltl_to_buchi(parse_ltl("F (x = 2)", VOCAB_B))
-        stats = buchi_cache_stats()
+        with obs.metrics_scope() as scope:
+            ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
+            stats = template_traffic(scope)
+            assert stats == {"entries": 1, "hits": 0, "misses": 1}
+            ltl_to_buchi(parse_ltl("F (x = 2)", VOCAB_B))
+        stats = template_traffic(scope)
         assert stats == {"entries": 1, "hits": 1, "misses": 1}
 
     def test_operator_canonicalised_pair_hits_one_entry(self):
-        ltl_to_buchi(parse_ltl("G (c = 0 -> X (c = 1))", VOCAB_A))
-        ltl_to_buchi(parse_ltl("G (!(x = 0) | X (x = 1))", VOCAB_B))
-        assert buchi_cache_stats()["entries"] == 1
-        assert buchi_cache_stats()["hits"] == 1
+        with obs.metrics_scope() as scope:
+            ltl_to_buchi(parse_ltl("G (c = 0 -> X (c = 1))", VOCAB_A))
+            ltl_to_buchi(parse_ltl("G (!(x = 0) | X (x = 1))", VOCAB_B))
+        assert template_traffic(scope)["entries"] == 1
+        assert template_traffic(scope)["hits"] == 1
 
     def test_instantiation_rebinds_atoms_not_structure(self):
         auto_a = ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
@@ -77,12 +90,15 @@ class TestTemplateCache:
         assert any("x" in s for s in strs_b)
 
     def test_distinct_shapes_get_distinct_entries(self):
-        ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
-        ltl_to_buchi(parse_ltl("G F (c = 2)", VOCAB_A))
-        assert buchi_cache_stats()["entries"] == 2
+        with obs.metrics_scope() as scope:
+            ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
+            ltl_to_buchi(parse_ltl("G F (c = 2)", VOCAB_A))
+        assert template_traffic(scope)["entries"] == 2
 
-    def test_clear_resets_counters(self):
+    def test_clear_drops_every_template(self):
         ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
         clear_buchi_cache()
-        assert buchi_cache_stats() == {"entries": 0, "hits": 0,
-                                       "misses": 0}
+        with obs.metrics_scope() as scope:
+            ltl_to_buchi(parse_ltl("F (c = 2)", VOCAB_A))
+        assert template_traffic(scope) == {"entries": 1, "hits": 0,
+                                           "misses": 1}

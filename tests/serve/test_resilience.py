@@ -47,6 +47,12 @@ def _wait_running(service, job_id, timeout=10.0):
     raise AssertionError(f"job {job_id} never started running")
 
 
+def _job_thread(service, job_id):
+    """The thread running ``job_id`` (``None`` once it has ended)."""
+    with service._cond:
+        return service._job_threads.get(job_id)
+
+
 def _pipeline_work(before, after):
     delta = obs.diff_snapshots(before, after)
     return [name for name in delta.get("counters", {})
@@ -235,6 +241,7 @@ class TestWatchdog:
             hung = service.submit(_config("srsue",
                                           deadline_seconds=0.25))
             _wait_running(service, hung.job_id)
+            hung_thread = _job_thread(service, hung.job_id)
             other = service.submit(_config("reference", props=OTHER))
 
             timed_out = _wait(service, hung.job_id, timeout=5.0)
@@ -254,6 +261,10 @@ class TestWatchdog:
         finally:
             faults.clear()
             service.stop()
+        # stop() does not wait for a timed-out job's thread: join it
+        # here so it cannot run on into another test.
+        hung_thread.join(timeout=10.0)
+        assert not hung_thread.is_alive()
 
     def test_scan_with_injected_clock_is_deterministic(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),
@@ -300,6 +311,8 @@ class TestWatchdog:
             hung = service.submit(_config("srsue", deadline_seconds=0.25))
             behind = service.submit(_config("reference", props=OTHER))
             assert service.job(behind.job_id).status is JobStatus.QUEUED
+            _wait_running(service, hung.job_id)
+            hung_thread = _job_thread(service, hung.job_id)
             done = _wait(service, behind.job_id, timeout=10.0)
             assert done.status is JobStatus.DONE
             assert time.monotonic() - started < 3.0, \
@@ -307,9 +320,41 @@ class TestWatchdog:
             assert service.job(hung.job_id).status is JobStatus.TIMEOUT
         finally:
             faults.clear()
-            # Joins the hung thread too, so it cannot run on into
-            # another test.
             service.stop()
+        # stop() does not wait for a timed-out job's thread: join it
+        # here so it cannot run on into another test.
+        hung_thread.join(timeout=10.0)
+        assert not hung_thread.is_alive()
+
+    def test_stop_does_not_wait_for_a_timed_out_job(self, tmp_path):
+        faults.install(faults.FaultPlan.of(faults.FaultSpec(
+            site="serve.run_job", key="srsue", kind="hang", nth=1,
+            scope="all", hang_seconds=3.0)))
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=1)
+        service.start()
+        try:
+            hung = service.submit(_config("srsue", deadline_seconds=0.25))
+            _wait_running(service, hung.job_id)
+            hung_thread = _job_thread(service, hung.job_id)
+            assert _wait(service, hung.job_id, timeout=5.0).status \
+                is JobStatus.TIMEOUT
+            assert hung_thread.is_alive(), "the hang ended too early"
+            before = obs.metrics().snapshot()
+            started = time.monotonic()
+            service.stop(wait=True)
+            stopped_in = time.monotonic() - started
+        finally:
+            faults.clear()
+        try:
+            assert stopped_in < 1.0, \
+                f"stop() waited {stopped_in:.2f}s for a timed-out job"
+            assert service.stats()["leaked_threads"] == [hung_thread.name]
+            assert _counter_delta(before, obs.metrics().snapshot(),
+                                  "serve.stop_leaked_threads") == 1
+        finally:
+            hung_thread.join(timeout=10.0)
+        assert not hung_thread.is_alive()
 
     def test_slots_bound_the_jobs_running_at_once(self, tmp_path):
         service = AnalysisService(ResultStore(tmp_path / "store"),

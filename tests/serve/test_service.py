@@ -1,12 +1,14 @@
 """Service mode end to end: queue, workers, store hits, HTTP /v1 API."""
 
 import json
+import time
 
 import pytest
 
 from repro import obs, schema
 from repro.cli import main as cli_main
 from repro.core import AnalysisConfig, AnalysisReport, extraction_cache
+from repro.core import engine as engine_module
 from repro.serve import (AnalysisService, JobStatus, ServeClient,
                          ServeClientError, ServiceError, create_server)
 from repro.store import ResultStore, job_digest
@@ -115,6 +117,48 @@ class TestAnalysisService:
         assert stats["live"] is True and stats["ready"] is True
         assert stats["draining"] is False
         assert stats["journal"] is None  # no --journal configured
+
+
+class TestPerJobCounters:
+    """Each job runs in a metrics scope of its own, so overlapping jobs
+    never pick up each other's work."""
+
+    PROPERTIES = ["SEC-01", "SEC-02", "SEC-03", "PRIV-01"]
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_overlapping_jobs_count_exactly_their_own_work(
+            self, tmp_path, monkeypatch, width):
+        # Every property verification sleeps first — in this process
+        # and in forked pool workers alike — so the two jobs verify at
+        # the same time.
+        verify_one = engine_module.verify_one
+
+        def slow_verify_one(*args, **kwargs):
+            time.sleep(0.1)
+            return verify_one(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "verify_one", slow_verify_one)
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=2, default_engine_jobs=width)
+        # Both queued before the scheduler starts, so both start at once.
+        records = [service.submit(AnalysisConfig(
+            implementation, property_ids=self.PROPERTIES).to_dict())
+            for implementation in ("srsue", "oai")]
+        service.start()
+        try:
+            finished = [_wait(service, record.job_id)
+                        for record in records]
+        finally:
+            service.stop()
+        for record in finished:
+            assert record.status is JobStatus.DONE, record.error
+            report = AnalysisReport.from_dict(service.report(record.digest))
+            # Recorded with obs.inc inside property spans: the report's
+            # totals are exactly this job's work.
+            totals = report.stats.totals
+            assert totals["mc.checks"] > 0
+            assert {name: record.counters.get(name)
+                    for name in totals} == totals
 
 
 class TestHTTPApi:

@@ -5,8 +5,11 @@ import pytest
 import repro
 import repro.api as api
 import repro.core
+import repro.core.engine
 import repro.core.report
+import repro.fuzz
 import repro.mc
+import repro.mc.buchi
 import repro.mc.checker
 import repro.serve
 
@@ -35,6 +38,10 @@ REMOVED = [
     (repro.core.report.PropertyResult, "verdict"),
     (repro.serve, "Watchdog"),
     (api, "Watchdog"),
+    (repro.mc, "buchi_cache_stats"),
+    (repro.mc.buchi, "buchi_cache_stats"),
+    (repro.core.engine.ExtractionCache, "stats"),
+    (repro.fuzz.FuzzConfig, "jobs"),
 ]
 
 

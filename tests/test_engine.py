@@ -150,32 +150,44 @@ class TestObservability:
 # ---------------------------------------------------------------------------
 # Extraction cache
 # ---------------------------------------------------------------------------
+def cache_traffic(scope):
+    """``(builds, hits)`` of the extraction cache seen by ``scope``."""
+    counters = scope.snapshot()["counters"]
+    return (counters.get("extraction.cache_misses", 0),
+            counters.get("extraction.cache_hits", 0))
+
+
 class TestExtractionCache:
     def test_one_conformance_run_across_instances(self):
         extraction_cache.clear()
-        first = ProChecker("srsue").extract()
-        second = ProChecker("srsue").extract()
-        stats = extraction_cache.stats()
-        assert stats["conformance_runs"] == 1
-        assert stats["hits"] >= 1
+        with obs.metrics_scope() as scope:
+            first = ProChecker("srsue").extract()
+            second = ProChecker("srsue").extract()
+        builds, hits = cache_traffic(scope)
+        assert builds == 1
+        assert hits >= 1
         assert first is second
 
     def test_full_analysis_runs_conformance_once(self):
         extraction_cache.clear()
-        ProChecker.from_config(AnalysisConfig("reference")).analyze()
-        assert extraction_cache.stats()["conformance_runs"] == 1
+        with obs.metrics_scope() as scope:
+            ProChecker.from_config(AnalysisConfig("reference")).analyze()
+        assert cache_traffic(scope)[0] == 1
 
     def test_custom_suite_bypasses_the_cache(self):
         """Small suites go to ``run_extraction`` directly; the shared
         cache only ever holds full-suite extractions."""
         extraction_cache.clear()
-        custom = run_extraction("srsue", full_suite("srsue")[:10])
-        assert extraction_cache.stats() == {
-            "entries": 0, "conformance_runs": 0, "hits": 0}
-        cached = extraction_cache.get("srsue")
-        assert custom.conformance_cases < cached.conformance_cases
-        assert ProChecker("srsue").extract() is cached.fsm
-        assert extraction_cache.stats()["conformance_runs"] == 1
+        with obs.metrics_scope() as bypass:
+            custom = run_extraction("srsue", full_suite("srsue")[:10])
+        assert cache_traffic(bypass) == (0, 0)
+        with obs.metrics_scope() as scope:
+            # The custom run filed no entry: this get builds.
+            cached = extraction_cache.get("srsue")
+            assert cache_traffic(scope) == (1, 0)
+            assert custom.conformance_cases < cached.conformance_cases
+            assert ProChecker("srsue").extract() is cached.fsm
+        assert cache_traffic(scope) == (1, 1)
 
 
 class TestExtractionCacheConcurrency:
@@ -201,29 +213,43 @@ class TestExtractionCacheConcurrency:
                             fake_extraction)
         return ExtractionCache()
 
+    @staticmethod
+    def _scoped_get(cache, implementation, scopes, results=None):
+        """``cache.get`` on this thread, counted in a scope of its own
+        (a scope does not follow work onto other threads)."""
+        with obs.metrics_scope() as scope:
+            scopes.append(scope)
+            record = cache.get(implementation)
+        if results is not None:
+            results.append(record)
+
     def test_different_keys_build_concurrently(self, monkeypatch):
         started, release = threading.Event(), threading.Event()
         cache = self._patched_cache(monkeypatch, started, release)
-        slow = threading.Thread(target=cache.get, args=("slow",))
+        scopes = []
+        slow = threading.Thread(target=self._scoped_get,
+                                args=(cache, "slow", scopes))
         slow.start()
         try:
             assert started.wait(timeout=10.0)
             # the slow build is in flight and must not block this key
-            record = cache.get("fast")
+            with obs.metrics_scope() as scope:
+                record = cache.get("fast")
             assert record.implementation == "fast"
             assert slow.is_alive()
         finally:
             release.set()
             slow.join(timeout=10.0)
         assert not slow.is_alive()
-        assert cache.stats()["conformance_runs"] == 2
+        assert cache_traffic(scopes[0]) == (1, 0)
+        assert cache_traffic(scope) == (1, 0)
 
     def test_same_key_callers_share_one_build(self, monkeypatch):
         started, release = threading.Event(), threading.Event()
         cache = self._patched_cache(monkeypatch, started, release)
-        results = []
+        results, scopes = [], []
         threads = [threading.Thread(
-            target=lambda: results.append(cache.get("slow")))
+            target=self._scoped_get, args=(cache, "slow", scopes, results))
             for _ in range(3)]
         for thread in threads:
             thread.start()
@@ -233,8 +259,9 @@ class TestExtractionCacheConcurrency:
             thread.join(timeout=10.0)
         assert len(results) == 3
         assert all(record is results[0] for record in results)
-        assert cache.stats()["conformance_runs"] == 1
-        assert cache.stats()["hits"] >= 2
+        # One caller built; the other two shared its record.
+        traffic = sorted(cache_traffic(scope) for scope in scopes)
+        assert traffic == [(0, 1), (0, 1), (1, 0)]
 
 
 class TestSuiteFingerprint:
@@ -422,11 +449,11 @@ class TestExtractionCacheChaosKeys:
         extraction_cache.clear()
         first = extraction_cache.get(
             "reference", chaos=ChaosConfig.default(), chaos_runs=2)
-        hits_before = extraction_cache.stats()["hits"]
-        second = extraction_cache.get(
-            "reference", chaos=ChaosConfig.default(), chaos_runs=2)
+        with obs.metrics_scope() as scope:
+            second = extraction_cache.get(
+                "reference", chaos=ChaosConfig.default(), chaos_runs=2)
         assert second is first
-        assert extraction_cache.stats()["hits"] == hits_before + 1
+        assert cache_traffic(scope) == (0, 1)
 
     def test_different_seed_is_a_different_key(self):
         from repro.lte.channel import ChaosConfig
