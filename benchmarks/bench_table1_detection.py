@@ -73,8 +73,11 @@ def _emit_trajectory(reports):
     canonical per-implementation stats, and the per-property wall-time
     trajectory (plus the slowest property's exploration effort — the
     number the MC regression guard watches) of the full
-    three-implementation run; ``trace.jsonl`` is the reassembled span
-    trace CI uploads as an artifact and audits for phase completeness.
+    three-implementation run.  The run is one batch: ``batch_seconds``
+    is its wall time, written once, and each implementation's
+    ``busy_seconds`` sums its own properties' verification time.
+    ``trace.jsonl`` is the reassembled span trace CI uploads as an
+    artifact and audits for phase completeness.
     """
     roots = obs.drain_spans()
     batch_roots = [r for r in roots if r.name == "pipeline.analyze"]
@@ -88,8 +91,12 @@ def _emit_trajectory(reports):
         "implementations": sorted(reports),
         "jobs": any_stats.jobs if any_stats else 1,
         "phases": dict(any_stats.phases) if any_stats else {},
-        "elapsed_seconds": {
-            impl: report.elapsed_seconds
+        # Every report of one analyze_many batch carries the batch's
+        # wall time as its elapsed_seconds.
+        "batch_seconds": round(
+            max(report.elapsed_seconds for report in reports.values()), 6),
+        "busy_seconds": {
+            impl: round(sum(r.elapsed_seconds for r in report.results), 6)
             for impl, report in sorted(reports.items())},
         "canonical": {impl: stats.canonical_dict()
                       for impl, stats in sorted(stats_by_impl.items())},

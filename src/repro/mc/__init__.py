@@ -8,8 +8,11 @@ Layers:
   per normalised formula (alpha-renamed atoms, canonical operators);
 - :mod:`repro.mc.model` — guarded-command transition systems (SMV
   stand-in) with content fingerprints;
+- :mod:`repro.mc.codegen` — models, Büchi entry labels and invariants
+  compiled to Python functions over state key tuples (one process-wide,
+  bounded code cache; commands dispatched on the ``turn`` variable);
 - :mod:`repro.mc.graph` — dense-integer interning of reachable state
-  graphs (shared successor expansion + literal truth columns);
+  keys (one shared successor expansion per model);
 - :mod:`repro.mc.checker` — invariant BFS and on-the-fly nested-DFS
   Büchi-product LTL checking;
 - :mod:`repro.mc.cache` — persistent cross-run verdict cache (a

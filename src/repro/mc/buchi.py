@@ -152,16 +152,6 @@ class BuchiAutomaton:
     labels: Dict[int, Tuple[Atom, ...]]
     accepting: FrozenSet[int]
 
-    def state_satisfies(self, buchi_state: int, model_state) -> bool:
-        """Does ``model_state`` satisfy the entry label of ``buchi_state``?"""
-        try:
-            checks = self._compiled_labels
-        except AttributeError:
-            checks = self._compiled_labels = {
-                state: tuple(literal.compile() for literal in literals)
-                for state, literals in self.labels.items()}
-        return all(check(model_state) for check in checks[buchi_state])
-
     def successors(self, buchi_state: int) -> Tuple[int, ...]:
         return self.transitions.get(buchi_state, ())
 
@@ -319,8 +309,7 @@ class _BuchiTemplate:
 
     ``instantiate`` binds concrete atoms back in; the transition
     structure is shared between instantiations (it is never mutated),
-    only the label dict is rebuilt, and each returned automaton compiles
-    its own literal closures lazily.
+    only the label dict is rebuilt.
     """
 
     initial: FrozenSet[int]

@@ -5,16 +5,21 @@ facade; this module holds the engines behind it:
 
 - :func:`_check_invariant` — BFS reachability for safety properties
   ``G p`` with propositional ``p``, over the model's interned
-  :class:`~repro.mc.graph.StateGraph`; returns the shortest violating
-  prefix.
+  :class:`~repro.mc.graph.StateGraph`, testing ``p`` as a generated
+  predicate on state keys; returns the shortest violating prefix.
 - :class:`_OnTheFlySearch` — full LTL: translate the *negated* formula
   to a Büchi automaton (:mod:`repro.mc.buchi`, memoised per normalised
   formula) and run a nested depth-first search (Schwoon–Esparza
   colouring) over the product *constructed on the fly*.  Product nodes
-  are dense ints (``state id * |Q| + q``), entry labels are evaluated
-  through per-literal truth columns, and the search stops at the first
+  are dense ints (``state id * |Q| + q``).  One generated function per
+  automaton (:func:`repro.mc.codegen.label_masks`) gives each model
+  state a bitmask of the Büchi states whose entry label it satisfies,
+  computed once per state and search.  The search stops at the first
   accepting cycle — for violated properties only a fraction of the
   product is ever built.
+
+Both run the model as generated code (:mod:`repro.mc.codegen`) on state
+key tuples; state dicts are built only for counterexample traces.
 
 The independent reference engine this search is equivalence-tested
 against (materialised product, Tarjan SCC, BFS witness) lives with the
@@ -38,6 +43,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .. import obs
 from .buchi import BuchiAutomaton, ltl_to_buchi
+from .codegen import key_predicate, label_masks
 from .counterexample import CheckResult, Step, Trace
 from .expr import And, Const, Expr, Not, Or
 from .graph import StateGraph
@@ -54,13 +60,14 @@ def _check_invariant(model: Model, invariant: Expr,
     model.validate_expression(invariant)
     with obs.span("mc.check", property=name, mode="invariant") as span:
         graph = model.graph()
-        holds = invariant.compile()
+        holds = key_predicate(model, invariant)
+        key_of = graph.key_of
         root = graph.initial
         parents: Dict[int, Optional[Tuple[int, str]]] = {root: None}
         queue = deque([root])
         peak_frontier = 1
         violating: Optional[int] = None
-        if not holds(graph.state(root)):
+        if not holds(key_of(root)):
             violating = root
         while queue and violating is None:
             sid = queue.popleft()
@@ -68,7 +75,7 @@ def _check_invariant(model: Model, invariant: Expr,
                 if successor in parents:
                     continue
                 parents[successor] = (sid, label)
-                if not holds(graph.state(successor)):
+                if not holds(key_of(successor)):
                     violating = successor
                     break
                 queue.append(successor)
@@ -95,7 +102,7 @@ def _sid_path_to_trace(graph: StateGraph, parents, sid: int) -> Trace:
         chain.append((cursor, label))
         cursor = predecessor
     chain.reverse()
-    trace = Trace(initial_state=dict(graph.state(cursor)))
+    trace = Trace(initial_state=graph.state(cursor))
     for state_sid, label in chain:
         trace.steps.append(Step(label, graph.state(state_sid)))
     return trace
@@ -154,8 +161,9 @@ class _OnTheFlySearch:
         self.automaton = automaton
         states = automaton.states
         self.nq = (max(states) + 1) if states else 1
-        self._label_ok = {q: graph.label_evaluator(automaton.labels[q])
-                          for q in states}
+        self._mask_of = label_masks(graph.model, automaton.labels)
+        #: state id -> bitmask of Büchi states whose entry label holds
+        self._masks: Dict[int, int] = {}
         self._succ_q = {q: automaton.successors(q) for q in states}
         self._accepting = automaton.accepting
         self.cyan: Set[int] = set()
@@ -171,8 +179,9 @@ class _OnTheFlySearch:
     # ------------------------------------------------------------------
     def run(self) -> Optional[Trace]:
         root_sid = self.graph.initial
+        root_mask = self._mask(root_sid)
         for q in sorted(self.automaton.initial):
-            if not self._label_ok[q](root_sid):
+            if not root_mask >> q & 1:
                 continue
             root = root_sid * self.nq + q
             if root in self.blue:
@@ -181,14 +190,23 @@ class _OnTheFlySearch:
                 return self.trace
         return None
 
+    def _mask(self, sid: int) -> int:
+        mask = self._masks.get(sid)
+        if mask is None:
+            mask = self._masks[sid] = self._mask_of(self.graph.key_of(sid))
+        return mask
+
     def _edges(self, node: int) -> Iterator[Tuple[int, str]]:
         sid, q = divmod(node, self.nq)
         nq = self.nq
         succ_q = self._succ_q.get(q, ())
-        label_ok = self._label_ok
+        masks = self._masks
         for label, successor_sid in self.graph.successors(sid):
+            mask = masks.get(successor_sid)
+            if mask is None:
+                mask = self._mask(successor_sid)
             for next_q in succ_q:
-                if label_ok[next_q](successor_sid):
+                if mask >> next_q & 1:
                     yield successor_sid * nq + next_q, label
 
     def _is_accepting(self, node: int) -> bool:
@@ -277,8 +295,7 @@ class _OnTheFlySearch:
         graph = self.graph
         nq = self.nq
         anchor_index = self._position[anchor]
-        trace = Trace(
-            initial_state=dict(graph.state(blue_stack[0][0] // nq)))
+        trace = Trace(initial_state=graph.state(blue_stack[0][0] // nq))
         for node, label, _ in blue_stack[1:anchor_index + 1]:
             trace.steps.append(Step(label, graph.state(node // nq)))
         trace.loop_start = len(trace.steps)

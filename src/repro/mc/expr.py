@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Set, Tuple, Union
+from typing import Iterable, Mapping, Set, Tuple, Union
 
 Value = Union[str, int, bool]
 State = Mapping[str, Value]
-CompiledExpr = Callable[[State], bool]
 
 
 class ExprError(Exception):
@@ -38,18 +37,6 @@ class Expr:
 
     def evaluate(self, state: State) -> bool:
         raise NotImplementedError
-
-    def compile(self) -> CompiledExpr:
-        """A fast closure equivalent to :meth:`evaluate`.
-
-        Compiled expressions are the model checker's hot path: they skip
-        the per-node dispatch and diagnostics of :meth:`evaluate` and
-        assume a well-formed state (every referenced variable present,
-        domains comparable) — which the checker guarantees via
-        :meth:`repro.mc.model.Model.validate_expression`.  Semantics on
-        well-formed states are identical to :meth:`evaluate`.
-        """
-        return self.evaluate
 
     def variables(self) -> Set[str]:
         raise NotImplementedError
@@ -76,10 +63,6 @@ class Const(Expr):
 
     def evaluate(self, state: State) -> bool:
         return self.value
-
-    def compile(self) -> CompiledExpr:
-        value = self.value
-        return lambda state: value
 
     def variables(self) -> Set[str]:
         return set()
@@ -131,16 +114,6 @@ class Compare(Expr):
                 f"incomparable values {left_value!r} {self.op} "
                 f"{right_value!r}") from exc
 
-    def compile(self) -> CompiledExpr:
-        left, right, op = self.left, self.right, _OPS[self.op]
-        if self.right_is_var:
-            return lambda state: op(state[left], state[right])
-        if self.op == "=":
-            return lambda state: state[left] == right
-        if self.op == "!=":
-            return lambda state: state[left] != right
-        return lambda state: op(state[left], right)
-
     def variables(self) -> Set[str]:
         names = {self.left}
         if self.right_is_var:
@@ -157,10 +130,6 @@ class Not(Expr):
 
     def evaluate(self, state: State) -> bool:
         return not self.operand.evaluate(state)
-
-    def compile(self) -> CompiledExpr:
-        operand = self.operand.compile()
-        return lambda state: not operand(state)
 
     def variables(self) -> Set[str]:
         return self.operand.variables()
@@ -196,13 +165,6 @@ class And(_NaryExpr):
     def evaluate(self, state: State) -> bool:
         return all(operand.evaluate(state) for operand in self.operands)
 
-    def compile(self) -> CompiledExpr:
-        compiled = tuple(operand.compile() for operand in self.operands)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda state: first(state) and second(state)
-        return lambda state: all(fn(state) for fn in compiled)
-
 
 @dataclass(frozen=True)
 class Or(_NaryExpr):
@@ -214,13 +176,6 @@ class Or(_NaryExpr):
 
     def evaluate(self, state: State) -> bool:
         return any(operand.evaluate(state) for operand in self.operands)
-
-    def compile(self) -> CompiledExpr:
-        compiled = tuple(operand.compile() for operand in self.operands)
-        if len(compiled) == 2:
-            first, second = compiled
-            return lambda state: first(state) or second(state)
-        return lambda state: any(fn(state) for fn in compiled)
 
 
 def var_equals(name: str, value: Value) -> Compare:

@@ -1,34 +1,28 @@
 """Dense-integer interning of a model's reachable state graph.
 
-The explicit-state checker used to pass hashable state *tuples* around
-and re-evaluate Büchi entry labels against freshly materialised state
-dicts on every product edge.  :class:`StateGraph` replaces both costs
-with integer ids:
+:class:`StateGraph` gives every reachable state key (the tuple of
+variable values in the model's variable order) a dense ``int`` id, so
+the checker's product nodes are small ints (``sid * |Q| + q``) instead
+of ``(tuple, int)`` pairs.  It stores the keys and nothing else per
+state:
 
-- every reachable state key is interned once into a dense ``int`` id,
-  so product nodes become small ints (``sid * |Q| + q``) instead of
-  ``(tuple, int)`` pairs;
-- successor lists are expanded lazily through
+- successor lists are expanded lazily through the model's generated
   :meth:`~repro.mc.model.Model.successor_items` (which does not memoise)
   and cached here as ``(label, successor id)`` tuples — built at most
   once per model no matter how many properties or CEGAR iterations
   explore it;
-- atomic predicates are evaluated at most once per ``(literal, state)``
-  via per-literal truth columns (one growable list per literal, indexed
-  by state id), which is what makes on-the-fly product exploration
-  cheaper than the old per-edge re-evaluation.
+- predicates run as generated code on the keys
+  (:mod:`repro.mc.codegen`), so no state dict is built while searching;
+  :meth:`state` makes one on demand, for counterexample traces.
 
 A graph is owned by its :class:`~repro.mc.model.Model` (see
 ``Model.graph()``) so all checks against the same instrumented model
-share one interning table, one successor expansion and one set of truth
-columns.
+share one interning table and one successor expansion.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-from .ltl import Atom
+from typing import Dict, List, Optional, Tuple
 
 Key = Tuple
 
@@ -36,19 +30,15 @@ Key = Tuple
 class StateGraph:
     """Lazily expanded, integer-interned view of a model's state graph."""
 
-    __slots__ = ("model", "_keys", "_index", "_states", "_succ",
-                 "_columns", "initial")
+    __slots__ = ("model", "_keys", "_index", "_succ", "initial")
 
     def __init__(self, model):
         self.model = model
         self._keys: List[Key] = []
         self._index: Dict[Key, int] = {}
-        self._states: List[Dict] = []
         #: per-state successor tuples, ``None`` until first expansion
         self._succ: List[Optional[Tuple[Tuple[str, int], ...]]] = []
-        #: literal -> truth column (list indexed by state id, lazily filled)
-        self._columns: Dict[Atom, List[Optional[bool]]] = {}
-        self.initial = self.intern(model.key(model.initial_state()))
+        self.initial = self.intern(model.key(model.init))
 
     # ------------------------------------------------------------------
     def intern(self, key: Key) -> int:
@@ -58,7 +48,6 @@ class StateGraph:
             sid = len(self._keys)
             self._index[key] = sid
             self._keys.append(key)
-            self._states.append(self.model.unkey(key))
             self._succ.append(None)
         return sid
 
@@ -66,8 +55,8 @@ class StateGraph:
         return self._keys[sid]
 
     def state(self, sid: int) -> Dict:
-        """The state dict for ``sid`` (shared — callers must not mutate)."""
-        return self._states[sid]
+        """A fresh state dict for ``sid`` (for counterexample traces)."""
+        return self.model.unkey(self._keys[sid])
 
     def __len__(self) -> int:
         """States interned so far (== states touched by any exploration)."""
@@ -78,62 +67,14 @@ class StateGraph:
         """``(label, successor id)`` pairs, expanded on first request.
 
         Expansion order is exactly the model's ``successor_items`` order,
-        so explorations over the graph visit states in the same order the
-        tuple-based checker did — determinism of counters and traces is
-        preserved.
+        so explorations visit states in a fixed order and counters and
+        traces are deterministic.
         """
         cached = self._succ[sid]
         if cached is None:
-            cached = tuple(
-                (label, self.intern(successor_key))
+            intern = self.intern
+            cached = self._succ[sid] = tuple(
+                (label, intern(successor_key))
                 for label, successor_key in
                 self.model.successor_items(self._keys[sid]))
-            self._succ[sid] = cached
         return cached
-
-    def expanded_count(self) -> int:
-        """States whose successor sets have been computed."""
-        return sum(1 for entry in self._succ if entry is not None)
-
-    # ------------------------------------------------------------------
-    def literal_evaluator(self, literal: Atom) -> Callable[[int], bool]:
-        """A memoised ``sid -> bool`` evaluator for one literal.
-
-        Each distinct literal gets one truth column shared by every
-        check against this model, so an atom appearing in many of the 62
-        properties (or in many Büchi states of one automaton) is
-        evaluated at most once per reachable state.
-        """
-        column = self._columns.get(literal)
-        if column is None:
-            column = self._columns[literal] = []
-        compiled = literal.compile()
-        states = self._states
-
-        def evaluate(sid: int) -> bool:
-            if sid >= len(column):
-                column.extend([None] * (sid + 1 - len(column)))
-            value = column[sid]
-            if value is None:
-                value = column[sid] = compiled(states[sid])
-            return value
-
-        return evaluate
-
-    def label_evaluator(self, literals: Tuple[Atom, ...]
-                        ) -> Callable[[int], bool]:
-        """Conjunction evaluator for a Büchi entry label (literal tuple)."""
-        if not literals:
-            return lambda sid: True
-        evaluators = [self.literal_evaluator(literal)
-                      for literal in literals]
-        if len(evaluators) == 1:
-            return evaluators[0]
-
-        def evaluate(sid: int) -> bool:
-            for check in evaluators:
-                if not check(sid):
-                    return False
-            return True
-
-        return evaluate

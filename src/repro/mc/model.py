@@ -11,16 +11,16 @@ Update right-hand sides may be literals, :class:`Ref` (copy a current
 variable value), :class:`Plus` (bounded increment, for counters such as the
 NAS sequence number), or :class:`Choice` over any of these.
 
-The explicit-state checker (:mod:`repro.mc.checker`) interprets these
-models; the deterministic stutter rule (a state with no enabled command
-loops to itself) keeps all executions infinite, as LTL semantics requires.
+The explicit-state checker (:mod:`repro.mc.checker`) runs these models
+as generated Python code (:mod:`repro.mc.codegen`) over state key tuples;
+the deterministic stutter rule (a state with no enabled command loops to
+itself) keeps all executions infinite, as LTL semantics requires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, Iterator, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .expr import Expr, Value
 
@@ -94,20 +94,6 @@ class Command:
         object.__setattr__(self, "updates", dict(self.updates))
 
 
-def _resolve(rhs: Union[Value, Ref, Plus], state: Mapping[str, Value]) -> Value:
-    if isinstance(rhs, Ref):
-        return state[rhs.variable]
-    if isinstance(rhs, Plus):
-        current = state[rhs.variable]
-        if not isinstance(current, int) or isinstance(current, bool):
-            raise ModelError(f"Plus on non-integer variable {rhs.variable!r}")
-        value = current + rhs.amount
-        if rhs.ceiling is not None:
-            value = min(value, rhs.ceiling)
-        return value
-    return rhs
-
-
 @dataclass
 class Model:
     """A guarded-command transition system."""
@@ -128,16 +114,16 @@ class Model:
         if missing:
             raise ModelError(f"variables without initial value: {missing}")
         self._order = tuple(sorted(self._by_name))
-        self._compiled_guards: List = []
+        self._successors: Optional[Callable] = None
         self._graph = None
         self._fingerprint: Optional[str] = None
 
     def __getstate__(self):
-        # Compiled guards are closures (unpicklable), and the interned
-        # state graph holds compiled literal columns; the engine rebuilds
-        # both lazily on first use after transfer.
+        # The bound successor function is generated code (unpicklable)
+        # and the state graph is a cache; both are rebuilt lazily on
+        # first use after transfer.
         state = dict(self.__dict__)
-        state["_compiled_guards"] = []
+        state["_successors"] = None
         state["_graph"] = None
         return state
 
@@ -158,6 +144,7 @@ class Model:
             self.variable(name)  # existence check
         command = Command(label, guard, updates)
         self.commands.append(command)
+        self._successors = None
         self._graph = None
         self._fingerprint = None
         return command
@@ -170,8 +157,8 @@ class Model:
 
         Built lazily and cached on the instance, so every property (and
         every CEGAR iteration) checked against the same instrumented
-        model shares one state-id table, one successor expansion and one
-        set of literal truth columns.  ``add_command`` invalidates.
+        model shares one state-id table and one successor expansion.
+        ``add_command`` invalidates.
         """
         if self._graph is None:
             from .graph import StateGraph
@@ -218,70 +205,25 @@ class Model:
     def initial_state(self) -> Dict[str, Value]:
         return dict(self.init)
 
-    def enabled_commands(self, state: Mapping[str, Value]) -> List[Command]:
-        if len(self._compiled_guards) != len(self.commands):
-            self._compiled_guards = [c.guard.compile()
-                                     for c in self.commands]
-        return [c for c, guard in zip(self.commands, self._compiled_guards)
-                if guard(state)]
-
-    def apply(self, state: Mapping[str, Value],
-              command: Command) -> Iterator[Dict[str, Value]]:
-        """Yield every successor the command can produce from ``state``."""
-        choice_items = [(name, rhs) for name, rhs in command.updates.items()
-                        if isinstance(rhs, Choice)]
-        plain_items = [(name, rhs) for name, rhs in command.updates.items()
-                       if not isinstance(rhs, Choice)]
-
-        base = dict(state)
-        for name, rhs in plain_items:
-            value = _resolve(rhs, state)
-            self.variable(name).validate(value)
-            base[name] = value
-        if not choice_items:
-            yield base
-            return
-
-        def expand(index: int, partial: Dict[str, Value]):
-            if index == len(choice_items):
-                yield dict(partial)
-                return
-            name, choice = choice_items[index]
-            for option in choice.options:
-                value = _resolve(option, state)
-                self.variable(name).validate(value)
-                partial[name] = value
-                yield from expand(index + 1, partial)
-
-        yield from expand(0, base)
-
-    def successors(
-        self, state: Mapping[str, Value]
-    ) -> Iterator[Tuple[str, Dict[str, Value]]]:
-        """Yield ``(command label, successor state)`` pairs.
-
-        A deadlocked state stutters (self-loop labelled ``"stutter"``) so
-        that every maximal execution is infinite.
-        """
-        produced = False
-        for command in self.enabled_commands(state):
-            for successor in self.apply(state, command):
-                produced = True
-                yield command.label, successor
-        if not produced:
-            yield "stutter", dict(state)
-
     def successor_items(
         self, key: Tuple[Value, ...]
     ) -> List[Tuple[str, Tuple[Value, ...]]]:
         """``(label, successor key)`` pairs for the state with this key.
 
-        Computed afresh on every call; :meth:`graph` is the memo — its
-        :class:`~repro.mc.graph.StateGraph` expands each state once, no
-        matter how many properties or Büchi products explore the model.
+        Commands fire in model order and each :class:`Choice` expands in
+        option order, the first ``Choice`` outermost; a state where no
+        command fires yields ``("stutter", key)``, so every maximal
+        execution is infinite.  The first call binds the model to
+        generated code (:func:`repro.mc.codegen.bind_successors`), which
+        raises :class:`ModelError` if any literal update lies outside its
+        variable's domain.  Results are not memoised; :meth:`graph`
+        expands each state once.
         """
-        return [(label, self.key(successor))
-                for label, successor in self.successors(self.unkey(key))]
+        successors = self._successors
+        if successors is None:
+            from .codegen import bind_successors
+            successors = self._successors = bind_successors(self)
+        return successors(key)
 
     def state_count_bound(self) -> int:
         """Product of domain sizes — upper bound used in scalability stats."""

@@ -12,6 +12,8 @@ from itertools import product
 
 from repro.mc.ltl import Atom, BinOp, BoolConst, Formula, UnOp
 
+from .interpreter import successors
+
 
 def eval_on_lasso(formula: Formula, states, loop_start: int) -> bool:
     """Does the lasso word satisfy ``formula`` (at position 0)?"""
@@ -101,7 +103,7 @@ def brute_force_violation(model, formula: Formula,
         # The word a lasso spells depends only on the state sequence, so
         # successors reached by several commands/choices are explored once.
         seen_keys = set()
-        for _label, successor in model.successors(current):
+        for _label, successor in successors(model, current):
             key = model.key(successor)
             if key in seen_keys:
                 continue

@@ -4,18 +4,24 @@ The on-the-fly nested DFS in :mod:`repro.mc.checker` is the only engine
 the pipeline runs; this one decides emptiness of the same product
 language in a completely different way and exists so the fast path has
 an independent implementation to be property-tested against
-(``test_strategy_equivalence.py``).  Witness *shapes* may differ — both
-must satisfy :func:`tests.mc.ltl_semantics.trace_violates`.
+(``test_strategy_equivalence.py``).  It expands and labels states
+through the interpreter in :mod:`tests.mc.interpreter`, not the
+generated code the checker runs, and answers invariants with a BFS of
+its own.  Witness *shapes* may differ — both must satisfy
+:func:`tests.mc.ltl_semantics.trace_violates`.
 """
 
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.mc.buchi import BuchiAutomaton, ltl_to_buchi
-from repro.mc.checker import _check_invariant, as_invariant
+from repro.mc.checker import as_invariant
 from repro.mc.counterexample import CheckResult, Step, Trace
+from repro.mc.expr import Expr
 from repro.mc.ltl import Formula
 from repro.mc.model import Model
+
+from .interpreter import label_holds, successor_items
 
 
 class CheckerError(Exception):
@@ -51,7 +57,7 @@ class _Product:
         self.model_states_seen.add(initial_key)
         worklist: List[Tuple[Tuple, int]] = []
         for buchi_state in automaton.initial:
-            if automaton.state_satisfies(buchi_state, initial):
+            if label_holds(automaton, buchi_state, initial):
                 node_id, fresh = self._intern(initial_key, buchi_state)
                 self.initials.append(node_id)
                 if fresh:
@@ -59,12 +65,12 @@ class _Product:
         while worklist:
             model_key, buchi_state = worklist.pop()
             node_id = self.nodes[(model_key, buchi_state)]
-            for label, successor_key in model.successor_items(model_key):
+            for label, successor_key in successor_items(model, model_key):
                 self.model_states_seen.add(successor_key)
                 successor_state = model.unkey(successor_key)
                 for next_buchi in automaton.successors(buchi_state):
-                    if not automaton.state_satisfies(next_buchi,
-                                                     successor_state):
+                    if not label_holds(automaton, next_buchi,
+                                       successor_state):
                         continue
                     succ_id, fresh = self._intern(successor_key, next_buchi)
                     self.edges[node_id].append((succ_id, label))
@@ -171,6 +177,34 @@ def _reconstruct(parents, node):
     return chain
 
 
+def _check_invariant_bfs(model: Model, invariant: Expr,
+                         name: str) -> CheckResult:
+    """Shortest path to a reachable state violating ``invariant``."""
+    root = model.key(model.initial_state())
+    parents: Dict[Tuple, Optional[Tuple[Tuple, str]]] = {root: None}
+    queue = deque([root])
+    violating = None if invariant.evaluate(model.unkey(root)) else root
+    while queue and violating is None:
+        key = queue.popleft()
+        for label, successor in successor_items(model, key):
+            if successor in parents:
+                continue
+            parents[successor] = (key, label)
+            if not invariant.evaluate(model.unkey(successor)):
+                violating = successor
+                break
+            queue.append(successor)
+    result = CheckResult(name, holds=violating is None,
+                         states_explored=len(parents))
+    if violating is not None:
+        chain = _reconstruct(parents, violating)
+        trace = Trace(initial_state=model.unkey(chain[0][0]))
+        for key, label in chain[1:]:
+            trace.steps.append(Step(label, model.unkey(key)))
+        result.counterexample = trace
+    return result
+
+
 def check_ltl_materialised(model: Model, formula: Formula,
                            name: str = "property") -> CheckResult:
     """Check ``model |= formula`` on the fully materialised product."""
@@ -179,7 +213,7 @@ def check_ltl_materialised(model: Model, formula: Formula,
 
     invariant = as_invariant(formula)
     if invariant is not None:
-        return _check_invariant(model, invariant, name)
+        return _check_invariant_bfs(model, invariant, name)
 
     automaton = ltl_to_buchi(formula.negate())
     product = _Product(model, automaton)

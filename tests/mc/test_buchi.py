@@ -3,6 +3,8 @@
 from repro.mc.buchi import ltl_to_buchi
 from repro.mc.ltl import F, G, U, X, atom, parse_ltl
 
+from .interpreter import label_holds
+
 VARS = ("p", "q")
 P = atom("p = 1", VARS)
 Q = atom("q = 1", VARS)
@@ -24,7 +26,7 @@ def accepts(automaton, word, loop_start):
 
     # product nodes (position, buchi state); edges follow both structures
     initial = {(0, q) for q in automaton.initial
-               if automaton.state_satisfies(q, word[0])}
+               if label_holds(automaton, q, word[0])}
     edges = {}
     stack = list(initial)
     nodes = set(initial)
@@ -33,7 +35,7 @@ def accepts(automaton, word, loop_start):
         succ_position = next_position(position)
         successors = []
         for succ_q in automaton.successors(q):
-            if automaton.state_satisfies(succ_q, word[succ_position]):
+            if label_holds(automaton, succ_q, word[succ_position]):
                 node = (succ_position, succ_q)
                 successors.append(node)
                 if node not in nodes:

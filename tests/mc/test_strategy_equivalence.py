@@ -5,7 +5,9 @@ question they answer is the same; every verdict must agree, and every
 counterexample either engine reports must violate the formula per the
 independent lasso semantics in :mod:`tests.mc.ltl_semantics`.  The
 materialised engine is the test-side reference in
-:mod:`tests.mc.materialised`."""
+:mod:`tests.mc.materialised`; it expands and labels states through the
+interpreter in :mod:`tests.mc.interpreter`, so the checker's generated
+code is compared with semantics that share none of its code."""
 
 from hypothesis import given, settings, strategies as st
 

@@ -1,5 +1,6 @@
 """Service mode end to end: queue, workers, store hits, HTTP /v1 API."""
 
+import builtins
 import json
 import time
 
@@ -9,6 +10,7 @@ from repro import obs, schema
 from repro.cli import main as cli_main
 from repro.core import AnalysisConfig, AnalysisReport, extraction_cache
 from repro.core import engine as engine_module
+from repro.mc import codegen
 from repro.serve import (AnalysisService, JobStatus, ServeClient,
                          ServeClientError, ServiceError, create_server)
 from repro.store import ResultStore, job_digest
@@ -159,6 +161,41 @@ class TestPerJobCounters:
             assert totals["mc.checks"] > 0
             assert {name: record.counters.get(name)
                     for name in totals} == totals
+
+
+class TestColdCodeCache:
+    """Job threads compile model code while other jobs fork pool workers;
+    a forked worker must never wait on the code cache's lock."""
+
+    def test_overlapping_cold_jobs_at_width_two_finish(
+            self, tmp_path, monkeypatch):
+        compile_source = builtins.compile
+
+        def slow_compile(*args, **kwargs):
+            time.sleep(0.002)
+            return compile_source(*args, **kwargs)
+
+        monkeypatch.setattr(codegen, "compile", slow_compile,
+                            raising=False)
+        codegen.clear_code_cache()
+        service = AnalysisService(ResultStore(tmp_path / "store"),
+                                  workers=2, default_engine_jobs=2)
+        # One property group verifies (and compiles) in the job thread;
+        # four groups fork a pool of two workers.
+        jobs = [("srsue", ["SEC-01"]),
+                ("oai", TestPerJobCounters.PROPERTIES)]
+        records = [service.submit(AnalysisConfig(
+            implementation, property_ids=properties).to_dict())
+            for implementation, properties in jobs]
+        service.start()
+        try:
+            finished = [_wait(service, record.job_id)
+                        for record in records]
+        finally:
+            service.stop()
+        for record in finished:
+            assert record.status is JobStatus.DONE, record.error
+        assert len(codegen._cache) > 0
 
 
 class TestHTTPApi:

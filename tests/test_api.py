@@ -42,6 +42,14 @@ REMOVED = [
     (repro.mc.buchi, "buchi_cache_stats"),
     (repro.core.engine.ExtractionCache, "stats"),
     (repro.fuzz.FuzzConfig, "jobs"),
+    (repro.mc.Model, "enabled_commands"),
+    (repro.mc.Model, "apply"),
+    (repro.mc.Model, "successors"),
+    (repro.mc.StateGraph, "literal_evaluator"),
+    (repro.mc.StateGraph, "label_evaluator"),
+    (repro.mc.BuchiAutomaton, "state_satisfies"),
+    (repro.mc.Expr, "compile"),
+    (repro.mc.Atom, "compile"),
 ]
 
 
