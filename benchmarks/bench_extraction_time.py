@@ -58,11 +58,12 @@ def test_extraction_scales_linearly(benchmark, scaled_logs):
     assert set(large_fsm.transitions) == set(small_fsm.transitions)
 
 
-def test_extraction_per_implementation(benchmark):
+def test_extraction_per_implementation(benchmark, cold_testbed):
     """Extraction on the paper-style per-implementation suites."""
     def extract_all():
         stats = {}
         for impl in ("reference", "srsue", "oai"):
+            cold_testbed()
             run = run_conformance(impl, full_suite(impl))
             table = table_for_implementation(REGISTRY[impl])
             extractor = ModelExtractor(table)

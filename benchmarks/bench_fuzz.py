@@ -51,12 +51,13 @@ def _campaign_point(implementation):
     }
 
 
-def test_fuzz_coverage(benchmark):
+def test_fuzz_coverage(benchmark, cold_testbed):
     point = {"benchmark": "fuzz_coverage", "seed": SEED,
              "budget_execs": BUDGET, "campaigns": {}}
 
     def measure_all():
         for implementation in IMPLEMENTATIONS:
+            cold_testbed()   # each campaign's time is its own
             point["campaigns"][implementation] = \
                 _campaign_point(implementation)
         return point

@@ -25,7 +25,8 @@ from repro.lte import constants as c
 from repro.lte.implementations import REGISTRY
 
 
-def test_lstar_learns_a_model(benchmark):
+def test_lstar_learns_a_model(benchmark, cold_testbed):
+    cold_testbed()
     machine, stats = benchmark.pedantic(
         lambda: learn_ue_model("reference", equivalence_depth=3),
         rounds=1, iterations=1)
@@ -40,10 +41,12 @@ def test_lstar_learns_a_model(benchmark):
             assert (state, symbol) in machine.transitions
 
 
-def test_query_cost_vs_conformance_reuse(benchmark):
+def test_query_cost_vs_conformance_reuse(benchmark, cold_testbed):
     """ProChecker's extraction piggybacks on the conformance run."""
     def both():
+        cold_testbed()
         machine, stats = learn_ue_model("reference", equivalence_depth=3)
+        cold_testbed()
         run = run_conformance("reference", full_suite("reference"))
         table = table_for_implementation(REGISTRY["reference"])
         fsm, extraction_stats = extract_model(run.log_text, table)
@@ -62,7 +65,9 @@ def test_query_cost_vs_conformance_reuse(benchmark):
     assert stats.resets > 10 * conformance_cases
 
 
-def test_semantic_content_comparison(benchmark, extracted_models):
+def test_semantic_content_comparison(benchmark, extracted_models,
+                                     cold_testbed):
+    cold_testbed()
     machine, _stats = benchmark.pedantic(
         lambda: learn_ue_model("reference", equivalence_depth=2),
         rounds=1, iterations=1)

@@ -161,12 +161,13 @@ def test_detection_matrix_summary(benchmark):
     assert slowest["states_explored"] <= 5000, slowest
 
 
-def test_engine_speedup(benchmark):
+def test_engine_speedup(benchmark, cold_testbed):
     """Parallel engine vs the serial path.
 
-    Both sides start from a cleared extraction cache, so each runs the
-    conformance suite once.  The serial configuration pins one worker;
-    the engine configuration uses the default width (all cores).
+    Both sides start from a cleared extraction cache and cold testbed
+    memos, so each runs the conformance suite once from scratch.  The
+    serial configuration pins one worker; the engine configuration uses
+    the default width (all cores).
     Verdicts must match byte-for-byte; the speedup assertion only fires
     on multi-core runners, where the process pool carries the win.
     """
@@ -174,11 +175,13 @@ def test_engine_speedup(benchmark):
     engine_config = AnalysisConfig("srsue")
 
     extraction_cache.clear()
+    cold_testbed()
     start = time.perf_counter()
     serial_report = ProChecker.from_config(serial_config).analyze()
     serial_seconds = time.perf_counter() - start
 
     extraction_cache.clear()
+    cold_testbed()
     start = time.perf_counter()
     engine_report = benchmark.pedantic(
         lambda: ProChecker.from_config(engine_config).analyze(),

@@ -28,7 +28,7 @@ from ..lte.channel import RadioLink
 from ..lte.hss import Hss
 from ..lte.identifiers import make_subscriber
 from ..lte.implementations import REGISTRY
-from ..lte.messages import NasMessage
+from ..lte.messages import NasMessage, message_name
 from ..lte.security import DIR_DOWNLINK, SecurityContext
 from ..lte.timers import SimClock
 
@@ -96,10 +96,7 @@ class LteUeSUL:
         for record in self.link.history[self._mark:]:
             if record.direction != "uplink":
                 continue
-            try:
-                responses.append(NasMessage.from_wire(record.frame).name)
-            except Exception:  # noqa: BLE001
-                responses.append("garbage")
+            responses.append(message_name(record.frame) or "garbage")
         # The harness observes the UE's full reaction; multi-message
         # reactions concatenate (rare: only attach bursts).
         return "+".join(responses) if responses else NO_OUTPUT

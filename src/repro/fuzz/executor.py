@@ -30,7 +30,7 @@ from ..fsm import NULL_ACTION, FiniteStateMachine
 from ..lte import constants as c
 from ..lte.channel import corrupt_frame
 from ..lte.implementations import IMPLEMENTATION_NAMES, create_ue
-from ..lte.messages import MessageError, NasMessage
+from ..lte.messages import NasMessage, message_name
 from ..lte.security import DIR_DOWNLINK
 from .schedule import FuzzScheduleError, Step
 
@@ -61,6 +61,8 @@ class _Harness:
             lambda subscriber, link, clock=None: create_ue(
                 implementation, subscriber, link, clock=clock))
         self.coverage: List[CoverageKey] = []
+        #: per link history record: its frame's name if it went uplink
+        self._uplink_name_at: List[Optional[str]] = []
         self._install_tracer()
 
     # ------------------------------------------------------------------
@@ -86,18 +88,19 @@ class _Harness:
 
     @staticmethod
     def _frame_name(frame: bytes) -> str:
-        try:
-            return NasMessage.from_wire(frame).name
-        except MessageError:
-            return "malformed"
+        return message_name(frame) or "malformed"
 
     def _uplink_names(self, mark: int) -> List[str]:
-        names = []
-        for record in self.ctx.link.history[mark:]:
-            if record.direction != "uplink":
-                continue
-            names.append(self._frame_name(record.frame))
-        return names
+        """Names of the uplink frames sent since history index ``mark``.
+
+        Each record is named once, though a delivery's coverage key and
+        its step's observation both ask for it.
+        """
+        named = self._uplink_name_at
+        for record in self.ctx.link.history[len(named):]:
+            named.append(self._frame_name(record.frame)
+                         if record.direction == "uplink" else None)
+        return [name for name in named[mark:] if name is not None]
 
     # ------------------------------------------------------------------
     def run_step(self, step: Step) -> Dict[str, object]:

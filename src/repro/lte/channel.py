@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from .. import faults, obs
 from . import constants as c
-from .messages import MessageError, NasMessage
+from .messages import NasMessage, message_name
 
 DIR_UPLINK = "uplink"      # UE -> MME
 DIR_DOWNLINK = "downlink"  # MME -> UE
@@ -357,11 +357,10 @@ class RadioLink:
 
     @staticmethod
     def _frame_name(frame: bytes) -> Optional[str]:
-        try:
-            return NasMessage.from_wire(frame).name
-        except MessageError:
+        name = message_name(frame)
+        if name is None:
             obs.count("channel.malformed_frames")
-            return None
+        return name
 
     def _chaos_action(self, direction: str,
                       frame: bytes) -> Optional[str]:

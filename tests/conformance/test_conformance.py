@@ -1,5 +1,7 @@
 """Conformance framework tests: suite composition, runner, coverage."""
 
+import hashlib
+
 import pytest
 
 from repro.conformance import (ConformanceRunner, additional_cases,
@@ -68,6 +70,26 @@ class TestRunner:
         """Each case gets its own context (MSIN sweep)."""
         run = conformance_runs["reference"]
         assert run.executed == len(full_suite("reference"))
+
+
+class TestGoldenLogs:
+    """Each stack's instrumented log text, byte for byte.
+
+    The digests were taken before the testbed's primitives were
+    memoised; the log feeds extraction, so any change moves verdicts.
+    """
+
+    @pytest.mark.parametrize("implementation,digest", [
+        ("reference", "df839a280afb941f0cc31d60c1fc0836"
+                      "37fdedad2e98cc347b0247491d0d5337"),
+        ("srsue", "166f0673401be636b522491e673894b1"
+                  "c0687b533440ef4cc040113218b3c5c6"),
+        ("oai", "6df91d94384d39e52cadd95f8710de5e"
+                "5844a977e0d0abdd6c556a7d64935b8d"),
+    ])
+    def test_log_digest(self, conformance_runs, implementation, digest):
+        log_text = conformance_runs[implementation].log_text
+        assert hashlib.sha256(log_text.encode()).hexdigest() == digest
 
 
 class TestCoverage:

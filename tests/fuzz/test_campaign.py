@@ -6,6 +6,7 @@ clean reference corpus *without being told about it* — ``classify`` is
 post-hoc labelling, never discovery input.
 """
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 from repro import blobstore, obs
 from repro.fuzz import (Deviation, FuzzConfig, FuzzConfigError, FuzzError,
                         Fuzzer, campaign_digest, run_campaign)
+from repro.fuzz.schedule import canonical_json
 from repro.obs.metrics import diff_snapshots
 from repro.testbed.experiments import replay_deviation
 
@@ -84,6 +86,27 @@ class TestDeterminism:
         small_campaign("srsue", budget=48)
         delta = diff_snapshots(before, obs.metrics().snapshot())
         assert delta["counters"].get("fuzz.execs") == 48
+
+
+class TestGoldenSummaries:
+    """Pinned-seed campaign summaries, byte for byte.
+
+    The digests were taken before the testbed's primitives were
+    memoised; any change to testbed behaviour moves them.
+    """
+
+    @pytest.mark.parametrize("implementation,digest", [
+        ("srsue", "39e3b5dced882bd5607d179599197545"
+                  "ea61ef54250ae8a55584aaef6c421aac"),
+        ("oai", "2dad372923e70e9ff0a1f2d57030042e"
+                "ca93573be34cc01b34e0490a7cb149be"),
+        ("reference", "03fde513451b14f532637c0778175483"
+                      "3769daf5da874c77fc25f2ea7f3de867"),
+    ])
+    def test_summary_digest(self, implementation, digest):
+        summary = small_campaign(implementation, budget=300).summary()
+        assert hashlib.sha256(
+            canonical_json(summary).encode()).hexdigest() == digest
 
 
 class TestPersistence:

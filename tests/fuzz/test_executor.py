@@ -66,3 +66,15 @@ class TestCoverage:
         ]
         result = run_schedule("srsue", hostile)
         assert len(result.target) == len(hostile)
+
+    def test_unencodable_field_is_a_message_error(self):
+        # No generated schedule sets a field outside signed 64 bits; a
+        # hand-written one observes the codec's own error type.
+        oversized = [{"op": "attach"},
+                     {"op": "craft", "name": "attach_accept",
+                      "protection": "plain",
+                      "mutations": [{"kind": "set_field",
+                                     "field": "cause", "value": 2 ** 63}]}]
+        result = run_schedule("srsue", oversized)
+        assert result.target[1]["error"] == "MessageError"
+        assert not result.diverged

@@ -56,6 +56,51 @@ class TestPayloadCodec:
             msg.payload_bytes()
 
 
+class TestEncodeLimits:
+    """Values the TLV format cannot carry raise ``MessageError``."""
+
+    def test_int_outside_signed_64_bits(self):
+        for value in (2 ** 63, -(2 ** 63) - 1):
+            with pytest.raises(MessageError, match="64 bits"):
+                NasMessage(name=c.ATTACH_ACCEPT,
+                           fields={"x": value}).payload_bytes()
+        for value in (2 ** 63 - 1, -(2 ** 63)):
+            NasMessage(name=c.ATTACH_ACCEPT,
+                       fields={"x": value}).payload_bytes()
+
+    def test_key_over_255_bytes(self):
+        NasMessage(name=c.PAGING, fields={"k" * 255: 1}).payload_bytes()
+        with pytest.raises(MessageError, match="too long"):
+            NasMessage(name=c.PAGING, fields={"k" * 256: 1}).payload_bytes()
+
+    def test_value_over_65535_bytes(self):
+        for value in (b"\x00" * 65536, "v" * 65536):
+            with pytest.raises(MessageError, match="too long"):
+                NasMessage(name=c.PAGING,
+                           fields={"x": value}).payload_bytes()
+        NasMessage(name=c.PAGING,
+                   fields={"x": b"\x00" * 65535}).payload_bytes()
+
+    def test_body_over_65535_bytes(self):
+        fields = {"a": b"\x00" * 40000, "b": b"\x00" * 40000}
+        msg = NasMessage(name=c.PAGING, fields=fields)
+        msg.payload_bytes()   # each field fits; the frame does not
+        with pytest.raises(MessageError, match="65535"):
+            msg.to_wire()
+        ciphered = NasMessage(name=c.DOWNLINK_NAS_TRANSPORT,
+                              sec_header=c.SEC_HDR_INTEGRITY_CIPHERED,
+                              ciphertext=b"\xff" * 65536)
+        with pytest.raises(MessageError, match="65535"):
+            ciphered.to_wire()
+
+    def test_more_than_255_fields(self):
+        fields = {f"f{index}": index for index in range(255)}
+        NasMessage(name=c.PAGING, fields=fields).payload_bytes()
+        fields["f255"] = 255
+        with pytest.raises(MessageError, match="255"):
+            NasMessage(name=c.PAGING, fields=fields).payload_bytes()
+
+
 class TestWireCodec:
     def test_roundtrip_plain(self):
         msg = NasMessage(name=c.PAGING, fields={"paging_id": "abc"})
