@@ -9,7 +9,7 @@ system) is built the way it is:
   a = 2**IND observation);
 - A3: property-guided adversary scoping keeps the per-property state
   space small (the alternative — one maximal adversary for all
-  properties — blows up the product);
+  properties — blows up the instrumented model's reachable states);
 - A4: CEGAR from the maximally abstract model costs little over starting
   from a crypto-pre-encoded model, while keeping the abstraction honest.
 """
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.baselines import lteinspector_mme
-from repro.core.cegar import check_with_cegar
+from repro.core.cegar import CegarContext, check_with_cegar
 from repro.lte import constants as c
 from repro.testbed import simulate_operator_trace, stale_window_size
 from repro.threat import Refinement, ThreatConfig
@@ -85,29 +85,43 @@ BROAD = ThreatConfig(
     inject_ul=(c.DETACH_REQUEST,))
 
 
+def _reachable_states(context, config):
+    """Size of the instrumented model's full reachable state space.
+
+    Expanding every interned id in order interns each successor, so the
+    loop ends once the whole reachable graph has been expanded.
+    """
+    graph = context.model_for(config).graph()
+    sid = 0
+    while sid < len(graph):
+        graph.successors(sid)
+        sid += 1
+    return len(graph)
+
+
 def _check(extracted_models, config):
+    context = CegarContext(extracted_models["reference"], lteinspector_mme())
     started = time.perf_counter()
-    result = check_with_cegar(extracted_models["reference"],
-                              lteinspector_mme(), P1_FORMULA, config,
-                              name="P1")
-    return result, time.perf_counter() - started
+    result = check_with_cegar(context, P1_FORMULA, config, name="P1")
+    elapsed = time.perf_counter() - started
+    return result, _reachable_states(context, config), elapsed
 
 
 def test_a3_adversary_scoping(benchmark, extracted_models):
-    scoped_result, scoped_time = _check(extracted_models, SCOPED)
-    broad_result, broad_time = benchmark.pedantic(
+    scoped_result, scoped_states, scoped_time = _check(extracted_models,
+                                                       SCOPED)
+    broad_result, broad_states, broad_time = benchmark.pedantic(
         lambda: _check(extracted_models, BROAD), rounds=1, iterations=1)
 
     print(f"\nA3 — P1 verification under adversary scoping:")
-    print(f"  property-scoped: {scoped_result.states_explored:>7} states, "
+    print(f"  property-scoped: {scoped_states:>7} reachable states, "
           f"{scoped_time * 1000:8.1f}ms")
-    print(f"  broad superset:  {broad_result.states_explored:>7} states, "
+    print(f"  broad superset:  {broad_states:>7} reachable states, "
           f"{broad_time * 1000:8.1f}ms "
-          f"({broad_result.states_explored / scoped_result.states_explored:.0f}x states)")
+          f"({broad_states / scoped_states:.0f}x states)")
     # the verdict is the same; the cost is not
     assert scoped_result.is_attack and broad_result.is_attack
-    assert broad_result.states_explored \
-        > 10 * scoped_result.states_explored
+    assert broad_states > 10 * scoped_states
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +139,12 @@ def test_a4_cegar_vs_preencoded(benchmark, extracted_models):
         Refinement("no_forge", c.SECURITY_MODE_COMMAND))
 
     def run_both():
-        cegar = check_with_cegar(extracted_models["reference"],
-                                 lteinspector_mme(), SMC_FORGE_FORMULA,
-                                 abstract_config, name="cegar")
-        direct = check_with_cegar(extracted_models["reference"],
-                                  lteinspector_mme(), SMC_FORGE_FORMULA,
-                                  preencoded_config, name="direct")
+        cegar = check_with_cegar(
+            CegarContext(extracted_models["reference"], lteinspector_mme()),
+            SMC_FORGE_FORMULA, abstract_config, name="cegar")
+        direct = check_with_cegar(
+            CegarContext(extracted_models["reference"], lteinspector_mme()),
+            SMC_FORGE_FORMULA, preencoded_config, name="direct")
         return cegar, direct
 
     cegar, direct = benchmark.pedantic(run_both, rounds=1, iterations=1)

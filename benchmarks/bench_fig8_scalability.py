@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.core.cegar import check_with_cegar
+from repro.core.cegar import CegarContext, check_with_cegar
 from repro.mc.buchi import clear_buchi_cache
 from repro.mc.codegen import clear_code_cache
 from repro.properties import (COMMON_PROPERTIES, EXTRACTED_VOCAB,
@@ -29,8 +29,9 @@ def _verify_suite(ue_model, vocabulary, mme_model):
     for prop in COMMON_PROPERTIES:
         formula = prop.formula_for(vocabulary)
         started = time.perf_counter()
-        result = check_with_cegar(ue_model, mme_model, formula,
-                                  prop.threat, name=prop.identifier)
+        result = check_with_cegar(CegarContext(ue_model, mme_model),
+                                  formula, prop.threat,
+                                  name=prop.identifier)
         timings[prop.identifier] = (time.perf_counter() - started,
                                     result.states_explored)
     return timings

@@ -8,7 +8,7 @@ shared property set — the premise of the Fig. 8 timing comparison.
 
 import pytest
 
-from repro.core.cegar import check_with_cegar
+from repro.core.cegar import CegarContext, check_with_cegar
 from repro.properties import (COMMON_PROPERTIES, EXTRACTED_VOCAB,
                               LTEINSPECTOR_VOCAB)
 
@@ -18,12 +18,12 @@ from repro.properties import (COMMON_PROPERTIES, EXTRACTED_VOCAB,
 def test_common_property_on_extracted_model(benchmark, prop,
                                             extracted_models, mme_model):
     """Each Table II property, CEGAR-verified on the extracted model."""
-    ue_model = extracted_models["reference"]
+    context = CegarContext(extracted_models["reference"], mme_model)
     formula = prop.formula_for(EXTRACTED_VOCAB)
 
     result = benchmark.pedantic(
-        lambda: check_with_cegar(ue_model, mme_model, formula,
-                                 prop.threat, name=prop.identifier),
+        lambda: check_with_cegar(context, formula, prop.threat,
+                                 name=prop.identifier),
         rounds=1, iterations=1)
     # every common property terminates with a definite verdict
     assert result.verified or result.is_attack
@@ -41,8 +41,8 @@ def test_common_properties_on_baseline_model(benchmark, baseline_ue,
         for prop in COMMON_PROPERTIES:
             formula = prop.formula_for(LTEINSPECTOR_VOCAB)
             outcomes[prop.identifier] = check_with_cegar(
-                baseline_ue, mme_model, formula, prop.threat,
-                name=prop.identifier)
+                CegarContext(baseline_ue, mme_model), formula,
+                prop.threat, name=prop.identifier)
         return outcomes
 
     outcomes = benchmark.pedantic(verify_all, rounds=1, iterations=1)

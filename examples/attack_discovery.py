@@ -16,7 +16,7 @@ greater than the previously accepted SQN":
 
 from repro.baselines import lteinspector_mme
 from repro.core import ProChecker
-from repro.core.cegar import check_with_cegar
+from repro.core.cegar import CegarContext, check_with_cegar
 from repro.lte import constants as c
 from repro.properties import property_by_id
 from repro.testbed import run_attack
@@ -35,7 +35,7 @@ def main() -> None:
 
     print("=== CEGAR loop: model checker + protocol verifier ===")
     result = check_with_cegar(
-        ue_model, lteinspector_mme(),
+        CegarContext(ue_model, lteinspector_mme()),
         prop.formula_for(__import__(
             "repro.properties", fromlist=["EXTRACTED_VOCAB"]
         ).EXTRACTED_VOCAB),

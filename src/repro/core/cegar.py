@@ -35,8 +35,7 @@ from .. import faults, obs
 from ..cpv.deduction import Knowledge
 from ..cpv.terms import Mac, Pair, Term, const, secret_key
 from ..fsm import FiniteStateMachine, NULL_ACTION
-from ..mc import (CheckRequest, CheckResult, McVerdictCache, ModelChecker,
-                  Trace)
+from ..mc import CheckRequest, McVerdictCache, ModelChecker, Trace
 from ..lte import constants as c
 from ..mc.model import Model
 from ..threat import Refinement, ThreatConfig, ThreatInstrumentor
@@ -46,6 +45,9 @@ CONSTRUCTIBLE_UPLINK = frozenset({
     c.ATTACH_REQUEST, c.IDENTITY_RESPONSE, c.AUTH_SYNC_FAILURE,
     c.AUTH_MAC_FAILURE, c.DETACH_REQUEST, c.TAU_REQUEST,
 })
+
+#: The CEGAR iteration budget per property.
+MAX_CEGAR_ITERATIONS = 8
 
 _K_NAS = secret_key("k_nas_int")
 _K_SUBSCRIBER = secret_key("k_subscriber")
@@ -121,7 +123,6 @@ class CegarResult:
     step_verdicts: List[StepVerdict] = field(default_factory=list)
     states_explored: int = 0
     elapsed_seconds: float = 0.0
-    mc_results: List[CheckResult] = field(default_factory=list)
 
     @property
     def is_attack(self) -> bool:
@@ -244,14 +245,15 @@ def threat_config_digest(config: ThreatConfig) -> str:
 
 
 class CegarContext:
-    """Property-invariant CEGAR inputs, shared across a verification run.
+    """Everything the CEGAR loop needs besides the property itself.
 
     Once the two machines are fixed, the harvestable-message set, the
     :class:`CounterexampleValidator` built on it, and the
     threat-instrumented model for a given :class:`ThreatConfig` are all
     pure functions of their inputs — recomputing them per property (62
     times per run) is wasted work.  Instances are thread-safe; for
-    process pools each worker holds its own context.
+    process pools each worker builds its own context from the two
+    machines and ``mc_cache_dir``.
     """
 
     def __init__(self, ue_fsm: FiniteStateMachine,
@@ -259,6 +261,7 @@ class CegarContext:
                  mc_cache_dir: Optional[str] = None):
         self.ue_fsm = ue_fsm
         self.mme_fsm = mme_fsm
+        self.mc_cache_dir = mc_cache_dir
         self._lock = threading.Lock()
         self._validator: Optional[CounterexampleValidator] = None
         self._models: Dict[Tuple, Model] = {}
@@ -297,40 +300,29 @@ class CegarContext:
 
 
 def check_with_cegar(
-    ue_fsm: FiniteStateMachine,
-    mme_fsm: FiniteStateMachine,
+    context: CegarContext,
     formula_text: str,
     config: ThreatConfig,
     name: str = "property",
-    max_iterations: int = 8,
-    context: Optional[CegarContext] = None,
+    max_iterations: int = MAX_CEGAR_ITERATIONS,
 ) -> CegarResult:
     """Run the full MC↔CPV loop for one LTL property.
 
-    ``context`` shares the property-invariant inputs (validator, base
-    models) across calls; verdicts are identical with or without it.
+    ``context`` supplies the machines, the validator, the instrumented
+    models and the checker; verdicts do not depend on how warm it is.
     """
     result = CegarResult(property_name=name, verified=False)
     with obs.span("cegar", property=name) as span:
-        validator = context.validator if context is not None \
-            else CounterexampleValidator(mme_fsm)
-        checker = context.checker if context is not None \
-            else ModelChecker()
+        validator = context.validator
         current_config = config
-
         while result.iterations < max_iterations:
             result.iterations += 1
             obs.inc("cegar.iterations")
             faults.trip("cegar.iteration", key=name)
-            if context is not None:
-                model = context.model_for(current_config)
-            else:
-                model = ThreatInstrumentor(ue_fsm, mme_fsm,
-                                           current_config).build(name)
-            mc_result = checker.check(model, CheckRequest(
-                formula=formula_text, name=name,
-                threat_digest=threat_config_digest(current_config)))
-            result.mc_results.append(mc_result)
+            mc_result = context.checker.check(
+                context.model_for(current_config), CheckRequest(
+                    formula=formula_text, name=name,
+                    threat_digest=threat_config_digest(current_config)))
             result.states_explored = max(result.states_explored,
                                          mc_result.states_explored)
             if mc_result.holds:

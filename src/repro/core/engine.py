@@ -90,8 +90,6 @@ class AnalysisConfig:
     category: Optional[str] = None
     #: worker processes for the check phase; ``None`` → ``os.cpu_count()``
     jobs: Optional[int] = None
-    #: CEGAR iteration budget per property
-    max_cegar_iterations: int = 8
     #: wall-clock budget for one pooled property group; ``None`` → no limit
     group_timeout_seconds: Optional[float] = None
     #: deterministic fault plan to install for this run (debugging /
@@ -141,7 +139,6 @@ class AnalysisConfig:
                              if self.property_ids is not None else None),
             "category": self.category,
             "jobs": self.jobs,
-            "max_cegar_iterations": self.max_cegar_iterations,
             "group_timeout_seconds": self.group_timeout_seconds,
             "fault_plan": (self.fault_plan.to_dict()
                            if self.fault_plan is not None else None),
@@ -158,7 +155,8 @@ class AnalysisConfig:
         Raises :class:`~repro.schema.SchemaVersionError` on an unknown
         wire-format major and :class:`EngineError` on a payload without
         an implementation.  Keys this version does not know (such as the
-        retry and cache switches older payloads carry) are ignored.
+        retry and cache switches or the CEGAR iteration budget older
+        payloads carry) are ignored.
         """
         schema.check(payload, "AnalysisConfig")
         implementation = payload.get("implementation")
@@ -171,7 +169,6 @@ class AnalysisConfig:
             property_ids=payload.get("property_ids"),
             category=payload.get("category"),
             jobs=payload.get("jobs"),
-            max_cegar_iterations=payload.get("max_cegar_iterations", 8),
             group_timeout_seconds=payload.get("group_timeout_seconds"),
             fault_plan=(faults.FaultPlan.from_dict(plan)
                         if plan is not None else None),
@@ -333,9 +330,7 @@ def _worker_name() -> str:
 
 
 def verify_one(prop: Property, implementation: str,
-               ue_fsm: FiniteStateMachine, mme_model: FiniteStateMachine,
-               max_iterations: int = 8,
-               context: Optional[CegarContext] = None) -> PropertyResult:
+               context: CegarContext) -> PropertyResult:
     """Verify one property; the unit of work the engine schedules.
 
     Every call happens under one ``verify.property`` span — the unit the
@@ -345,8 +340,7 @@ def verify_one(prop: Property, implementation: str,
     with obs.span(obs.PROPERTY_SPAN, property=prop.identifier,
                   implementation=implementation, kind=prop.kind) as span:
         if prop.kind == KIND_LTL:
-            result = _verify_ltl(prop, ue_fsm, mme_model, max_iterations,
-                                 context)
+            result = _verify_ltl(prop, context)
         elif prop.kind == KIND_TESTBED:
             result = _verify_testbed(prop, implementation)
         else:
@@ -379,11 +373,7 @@ def error_result(prop: Property, exc: BaseException) -> PropertyResult:
 
 
 def _safe_verify_one(prop: Property, implementation: str,
-                     ue_fsm: FiniteStateMachine,
-                     mme_model: FiniteStateMachine,
-                     max_iterations: int = 8,
-                     context: Optional[CegarContext] = None
-                     ) -> PropertyResult:
+                     context: CegarContext) -> PropertyResult:
     """:func:`verify_one` with the group-boundary catch applied.
 
     Any exception the checker raises for this property — including
@@ -391,20 +381,17 @@ def _safe_verify_one(prop: Property, implementation: str,
     aborting the group, so every other property still gets its verdict.
     """
     try:
-        return verify_one(prop, implementation, ue_fsm, mme_model,
-                          max_iterations, context)
+        return verify_one(prop, implementation, context)
     except Exception as exc:  # noqa: BLE001 - the isolation boundary
         return error_result(prop, exc)
 
 
-def _verify_ltl(prop: Property, ue_fsm: FiniteStateMachine,
-                mme_model: FiniteStateMachine, max_iterations: int,
-                context: Optional[CegarContext]) -> PropertyResult:
-    formula = prop.formula_for(EXTRACTED_VOCAB)
+def _verify_ltl(prop: Property, context: CegarContext) -> PropertyResult:
+    # Called through the module global: tracers wrap
+    # ``repro.core.engine.check_with_cegar``.
     cegar: CegarResult = check_with_cegar(
-        ue_fsm, mme_model, formula, prop.threat,
-        name=prop.identifier, max_iterations=max_iterations,
-        context=context)
+        context, prop.formula_for(EXTRACTED_VOCAB), prop.threat,
+        name=prop.identifier)
     outcome = Verdict.VERIFIED if cegar.verified else Verdict.VIOLATED
     evidence = ""
     if cegar.is_attack:
@@ -474,21 +461,16 @@ class ImplementationRun:
     """One implementation's share of an engine invocation."""
 
     implementation: str
-    ue_fsm: FiniteStateMachine
-    mme_model: FiniteStateMachine
     properties: Sequence[Property]
     #: the in-process CEGAR context (e.g. a ProChecker's persistent one),
-    #: used by the serial path and by groups that fall back from the pool
+    #: used by the serial path and by groups that fall back from the pool;
+    #: pool workers build their own from its machines and cache directory
     context: CegarContext
-    max_iterations: int = 8
-    #: persistent MC verdict cache directory, propagated to the contexts
-    #: built in pool workers (``None`` → off)
-    mc_cache_dir: Optional[str] = None
 
 
 # Worker-process state, installed once per worker by the pool initializer:
-# implementation -> (ue_fsm, mme_model, max_iterations, CegarContext).
-_WORKER_STATE: Dict[str, Tuple] = {}
+# implementation -> the worker's own CegarContext.
+_WORKER_STATE: Dict[str, CegarContext] = {}
 
 
 def _init_worker(payloads: Dict[str, Tuple],
@@ -502,12 +484,12 @@ def _init_worker(payloads: Dict[str, Tuple],
     obs.reset()
     faults.install(faults.FaultPlan.from_dict(fault_plan)
                    if fault_plan is not None else None)
+    # A fresh context per worker: the parent's lock and model cache must
+    # not cross the fork.
     _WORKER_STATE.clear()
-    for implementation, (ue_fsm, mme_model, max_iterations,
-                         mc_cache_dir) in payloads.items():
-        _WORKER_STATE[implementation] = (
-            ue_fsm, mme_model, max_iterations,
-            CegarContext(ue_fsm, mme_model, mc_cache_dir=mc_cache_dir))
+    for implementation, (ue_fsm, mme_fsm, mc_cache_dir) in payloads.items():
+        _WORKER_STATE[implementation] = CegarContext(
+            ue_fsm, mme_fsm, mc_cache_dir=mc_cache_dir)
 
 
 def _verify_group(task: Tuple[str, List[Property]]
@@ -526,11 +508,9 @@ def _verify_group(task: Tuple[str, List[Property]]
     """
     implementation, props = task
     faults.trip("engine.verify_group", key=props[0].identifier)
-    ue_fsm, mme_model, max_iterations, context = \
-        _WORKER_STATE[implementation]
+    context = _WORKER_STATE[implementation]
     results = [(prop.identifier,
-                _safe_verify_one(prop, implementation, ue_fsm, mme_model,
-                                 max_iterations, context))
+                _safe_verify_one(prop, implementation, context))
                for prop in props]
     spans = [span.to_dict() for span in obs.drain_spans()]
     return results, spans, obs.metrics().drain()
@@ -546,8 +526,7 @@ def _verify_in_process(run: ImplementationRun, props: Sequence[Property]
     aborting the run.
     """
     return {(run.implementation, prop.identifier):
-            _safe_verify_one(prop, run.implementation, run.ue_fsm,
-                             run.mme_model, run.max_iterations, run.context)
+            _safe_verify_one(prop, run.implementation, run.context)
             for prop in props}
 
 
@@ -617,8 +596,8 @@ class VerificationEngine:
         Without one it waits for every group.
         """
         payloads = {run.implementation:
-                    (run.ue_fsm, run.mme_model, run.max_iterations,
-                     run.mc_cache_dir)
+                    (run.context.ue_fsm, run.context.mme_fsm,
+                     run.context.mc_cache_dir)
                     for run in runs}
         plan = faults.installed()
         width = min(self.jobs, len(tasks))

@@ -121,20 +121,13 @@ class ProChecker:
 
     def verify_property(self, prop: Property) -> PropertyResult:
         """Verify a single property against the extracted model."""
-        return verify_one(prop, self.implementation, self.extract(),
-                          self.mme_model,
-                          self.config.max_cegar_iterations,
-                          self._cegar_context())
+        return verify_one(prop, self.implementation, self._cegar_context())
 
     def _implementation_run(self) -> ImplementationRun:
         return ImplementationRun(
             implementation=self.implementation,
-            ue_fsm=self.extract(),
-            mme_model=self.mme_model,
             properties=self.config.resolved_properties(),
             context=self._cegar_context(),
-            max_iterations=self.config.max_cegar_iterations,
-            mc_cache_dir=self.config.mc_cache_dir,
         )
 
     # ------------------------------------------------------------------

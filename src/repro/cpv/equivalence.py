@@ -115,15 +115,3 @@ def distinguishable(
                 True, f"term {term} derivable only in {world} world")
 
     return DistinguishabilityResult(False, "no distinguishing test found")
-
-
-def linkability_experiment(
-    victim_responses: Sequence[Tuple[str, Term]],
-    other_responses: Sequence[Tuple[str, Term]],
-    probe_terms: Sequence[Term] = (),
-) -> DistinguishabilityResult:
-    """The P2-style experiment: replay a captured message to every UE in a
-    cell and compare the victim's response frame with a bystander's."""
-    victim_frame = Frame(list(victim_responses))
-    other_frame = Frame(list(other_responses))
-    return distinguishable(victim_frame, other_frame, probe_terms)

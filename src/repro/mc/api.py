@@ -16,17 +16,16 @@ threat digest)`` and a hit returns the stored verdict — counterexample
 included — without touching the state space.  The engines in
 :mod:`repro.mc.checker` stay private behind it.
 
-:class:`CheckRequest` and the returned
-:class:`~repro.mc.counterexample.CheckResult` both carry
-``schema_version``-stamped ``to_dict``/``from_dict`` wire forms.
+The returned :class:`~repro.mc.counterexample.CheckResult` carries a
+``schema_version``-stamped ``to_dict``/``from_dict`` wire form (the
+verdict cache stores it); :class:`CheckRequest` is in-process only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
+from typing import Optional, Union
 
-from .. import schema
 from .buchi import normalised_key
 from .cache import McVerdictCache, verdict_digest
 from .checker import _check_formula
@@ -53,34 +52,12 @@ class CheckRequest:
     formula: Union[str, Formula]
     name: str = "property"
     threat_digest: str = ""
-    use_cache: bool = True
 
     def resolved(self, model: Model) -> Formula:
         """The formula, parsed against ``model``'s vocabulary if textual."""
         if isinstance(self.formula, Formula):
             return self.formula
         return parse_ltl(self.formula, model.variable_names)
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        """Schema-stamped wire form; formulas serialise to their text."""
-        return schema.stamp({
-            "formula": (self.formula if isinstance(self.formula, str)
-                        else str(self.formula)),
-            "name": self.name,
-            "threat_digest": self.threat_digest,
-            "use_cache": self.use_cache,
-        })
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "CheckRequest":
-        schema.check(payload, "CheckRequest")
-        return cls(
-            formula=payload["formula"],
-            name=payload.get("name", "property"),
-            threat_digest=payload.get("threat_digest", ""),
-            use_cache=payload.get("use_cache", True),
-        )
 
 
 class ModelChecker:
@@ -99,16 +76,16 @@ class ModelChecker:
     def check(self, model: Model, request: CheckRequest) -> CheckResult:
         """Answer ``model |= request.formula``.
 
-        With a cache attached (and ``request.use_cache``), a stored
-        verdict for the same ``(model content, normalised formula,
-        threat digest)`` is returned without any exploration —
+        With a cache attached, a stored verdict for the same ``(model
+        content, normalised formula, threat digest)`` is returned
+        without any exploration —
         ``result.from_cache`` marks it, and no ``mc.*`` span counters
         are touched, which is what lets a fully warm re-analysis assert
         ``mc.checks == 0``.
         """
         formula = request.resolved(model)
         digest: Optional[str] = None
-        if self.cache is not None and request.use_cache:
+        if self.cache is not None:
             digest = verdict_digest(model.fingerprint(),
                                     normalised_key(formula),
                                     request.threat_digest)

@@ -38,7 +38,7 @@ import sys
 from typing import Dict
 
 from ..blobstore import BlobStore
-from ..core.cegar import threat_config_key
+from ..core.cegar import MAX_CEGAR_ITERATIONS, threat_config_key
 from ..core.engine import AnalysisConfig
 from ..lte.implementations import REGISTRY
 # The per-verdict model-checking cache lives in repro.mc.cache (the
@@ -103,7 +103,7 @@ def catalog_digest(config: AnalysisConfig) -> str:
         rows.append((prop.identifier, prop.kind, formula, repr(threat),
                      prop.testbed_attack))
     digest = hashlib.sha256()
-    digest.update(repr(config.max_cegar_iterations).encode())
+    digest.update(repr(MAX_CEGAR_ITERATIONS).encode())
     for row in rows:
         digest.update(repr(row).encode())
     return digest.hexdigest()

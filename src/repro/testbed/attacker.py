@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import obs
 from ..cpv.equivalence import Frame
 from ..cpv.terms import Atom, KIND_DATA, Term, const, pair
-from ..lte.messages import NasMessage
+# Imported as ``frame_name``: several methods take a ``message_name``.
+from ..lte.messages import NasMessage, message_name as frame_name
 from .simulator import Testbed
 
 
@@ -40,13 +41,12 @@ class DropFilter:
     def intercept(self, direction: str, frame: bytes) -> Optional[bytes]:
         if direction != self.direction:
             return frame
-        try:
-            message = NasMessage.from_wire(frame)
-        except Exception:  # noqa: BLE001 - pass unparseable frames through
+        name = frame_name(frame)
+        if name is None:  # pass unparseable frames through
             obs.count("channel.malformed_frames")
             return frame
-        if message.name in self.drop_names:
-            self.dropped.append(message.name)
+        if name in self.drop_names:
+            self.dropped.append(name)
             self.dropped_frames.append(frame)
             return None
         return frame
@@ -74,12 +74,10 @@ class Attacker:
         for _station, frame_direction, frame in self.captured:
             if frame_direction != direction:
                 continue
-            try:
-                message = NasMessage.from_wire(frame)
-            except Exception:  # noqa: BLE001 - skip unparseable captures
+            name = frame_name(frame)
+            if name is None:  # skip unparseable captures
                 obs.count("channel.malformed_frames")
-                continue
-            if message.name == message_name:
+            elif name == message_name:
                 matches.append(frame)
         if not matches:
             return None

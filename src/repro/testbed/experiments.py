@@ -14,16 +14,18 @@ from ..cpv.deduction import Knowledge
 from ..cpv.equivalence import Frame, distinguishable
 from ..cpv.terms import Atom, KIND_DATA, KIND_KEY
 from ..lte import constants as c
-from ..lte.messages import NasMessage
+from ..lte.messages import NasMessage, message_name
 from .attacker import Attacker, _message_term
 from .attacks import AttackResult, attack
 from .simulator import Testbed
 
 
-def _channel_knowledge(testbed: Testbed, station: str) -> Knowledge:
-    """Everything a passive adversary saw on the victim's link, as terms."""
+def _channel_knowledge(testbed: Testbed, station: str,
+                       since: int = 0) -> Knowledge:
+    """Everything a passive adversary saw on the victim's link from
+    history position ``since`` on, as terms."""
     knowledge = Knowledge()
-    for record in testbed.station(station).link.history:
+    for record in testbed.station(station).link.history[since:]:
         try:
             message = NasMessage.from_wire(record.frame)
         except Exception:  # noqa: BLE001
@@ -84,14 +86,7 @@ def secrecy_imsi_guti_attach(implementation: str) -> AttackResult:
     victim.mme.emm_state = "MME_EMM_DEREGISTERED"
     victim.ue.power_on()
     imsi = str(victim.subscriber.imsi)
-    knowledge = Knowledge()
-    for record in victim.link.history[first_session_end:]:
-        try:
-            message = NasMessage.from_wire(record.frame)
-        except Exception:  # noqa: BLE001
-            obs.count("channel.malformed_frames")
-            continue
-        knowledge.observe(_message_term(message))
+    knowledge = _channel_knowledge(testbed, "victim", first_session_end)
     imsi_atom = Atom(f"imsi:{imsi}", KIND_DATA, public=False)
     leaked = knowledge.can_construct(imsi_atom)
     return AttackResult(
@@ -146,15 +141,13 @@ def attach_replay_indistinguishable(implementation: str) -> AttackResult:
         for record in testbed.station(name).link.history[mark:]:
             if record.direction != "downlink":
                 continue
-            try:
-                message = NasMessage.from_wire(record.frame)
-            except Exception:  # noqa: BLE001
+            response = message_name(record.frame)
+            if response is None:
                 obs.count("channel.malformed_frames")
                 continue
             # The distinguisher is the response *type*; payloads are
             # subscriber-specific by construction.
-            frame.observe(message.name, Atom(message.name, KIND_DATA,
-                                             public=True))
+            frame.observe(response, Atom(response, KIND_DATA, public=True))
         frames[name] = frame
     verdict = distinguishable(frames["a"], frames["b"])
     return AttackResult(

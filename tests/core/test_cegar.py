@@ -3,14 +3,14 @@
 import pytest
 
 from repro.baselines import lteinspector_mme
-from repro.core.cegar import (CounterexampleValidator, check_with_cegar,
-                              harvestable_messages, message_term,
-                              threat_config_key)
+from repro.core.cegar import (CegarContext, CounterexampleValidator,
+                              check_with_cegar, harvestable_messages,
+                              message_term, threat_config_key)
 from repro.cpv.deduction import Knowledge
 from repro.cpv.terms import const
 from repro.lte import constants as c
-from repro.properties import ALL_PROPERTIES
-from repro.properties.spec import KIND_LTL
+from repro.properties import ALL_PROPERTIES, property_by_id
+from repro.properties.spec import EXTRACTED_VOCAB, KIND_LTL
 from repro.threat import ThreatConfig
 
 
@@ -139,7 +139,7 @@ class TestCegarLoop:
         forge a security_mode_command MAC (spurious counterexample); the
         CPV refutes it; the refined model verifies."""
         result = check_with_cegar(
-            extracted_models["reference"], mme_model,
+            CegarContext(extracted_models["reference"], mme_model),
             "G (ue_state = EMM_REGISTERED_INITIATED_AUTHENTICATED & "
             "chan_dl = security_mode_command & dl_injected = 1 & "
             "turn = ue -> X (chan_ul != security_mode_complete))",
@@ -152,7 +152,7 @@ class TestCegarLoop:
     def test_real_attack_reported_with_feasible_steps(
             self, extracted_models, mme_model):
         result = check_with_cegar(
-            extracted_models["reference"], mme_model,
+            CegarContext(extracted_models["reference"], mme_model),
             "G (turn = ue & chan_dl = authentication_request & "
             "dl_mac_valid = 1 & dl_sqn_rel != fresh "
             "-> X (chan_ul != authentication_response))",
@@ -166,7 +166,7 @@ class TestCegarLoop:
     def test_verified_without_iteration_when_nothing_to_refute(
             self, extracted_models, mme_model):
         result = check_with_cegar(
-            extracted_models["reference"], mme_model,
+            CegarContext(extracted_models["reference"], mme_model),
             "G (F (turn = ue))",
             ThreatConfig(),
             name="liveness")
@@ -176,7 +176,40 @@ class TestCegarLoop:
     def test_iteration_budget_respected(self, extracted_models,
                                         mme_model):
         result = check_with_cegar(
-            extracted_models["reference"], mme_model,
+            CegarContext(extracted_models["reference"], mme_model),
             "G (F (turn = ue))",
             ThreatConfig(), max_iterations=1)
         assert result.iterations == 1
+
+
+class TestSharedContext:
+    """A warm context (models and graphs built by earlier properties)
+    must answer exactly as a fresh one does."""
+
+    @pytest.fixture(scope="class")
+    def warm(self, extracted_models, mme_model):
+        context = CegarContext(extracted_models["reference"], mme_model)
+        results = {}
+        for prop in ALL_PROPERTIES:
+            if prop.kind == KIND_LTL:
+                results[prop.identifier] = check_with_cegar(
+                    context, prop.formula_for(EXTRACTED_VOCAB),
+                    prop.threat, name=prop.identifier)
+        return results
+
+    # SEC-01 is a real attack; SEC-23 is refined once, then violated.
+    @pytest.mark.parametrize("identifier", ["SEC-01", "SEC-23"])
+    def test_fresh_and_warm_contexts_agree(self, warm, identifier,
+                                           extracted_models, mme_model):
+        prop = property_by_id(identifier)
+        fresh = check_with_cegar(
+            CegarContext(extracted_models["reference"], mme_model),
+            prop.formula_for(EXTRACTED_VOCAB), prop.threat,
+            name=identifier)
+        shared = warm[identifier]
+        assert fresh.is_attack
+        assert (fresh.verified, fresh.iterations, fresh.refinements) \
+            == (shared.verified, shared.iterations, shared.refinements)
+        assert fresh.attack.to_dict() == shared.attack.to_dict()
+        if identifier == "SEC-23":
+            assert fresh.refinements

@@ -1,7 +1,6 @@
 """Observational distinguishability (linkability) tests."""
 
-from repro.cpv.equivalence import (Frame, distinguishable,
-                                   linkability_experiment)
+from repro.cpv.equivalence import Frame, distinguishable
 from repro.cpv.terms import Atom, KIND_DATA, Mac, const, nonce, secret_key
 
 K = secret_key("k")
@@ -70,14 +69,17 @@ class TestDerivabilityTests:
 
 
 class TestLinkabilityExperiment:
+    """The P2-style experiment: replay a captured message to every UE in a
+    cell and compare the victim's response frame with a bystander's."""
+
     def test_p2_style_experiment(self):
-        verdict = linkability_experiment(
-            victim_responses=[("authentication_response", const("res"))],
-            other_responses=[("auth_mac_failure", const("fail"))])
+        verdict = distinguishable(
+            frame_of(("authentication_response", const("res"))),
+            frame_of(("auth_mac_failure", const("fail"))))
         assert verdict.distinguishable
 
     def test_uniform_responses_safe(self):
-        verdict = linkability_experiment(
-            victim_responses=[("auth_mac_failure", const("fail"))],
-            other_responses=[("auth_mac_failure", const("fail"))])
+        verdict = distinguishable(
+            frame_of(("auth_mac_failure", const("fail"))),
+            frame_of(("auth_mac_failure", const("fail"))))
         assert not verdict.distinguishable

@@ -76,14 +76,6 @@ class TestModelCheckerFacade:
         mutated.add_command("jump", parse_expr("c = 0", ["c"]), {"c": 3})
         assert not checker.check(mutated, request).from_cache
 
-    def test_use_cache_false_bypasses(self, tmp_path):
-        checker = ModelChecker(cache=McVerdictCache(tmp_path))
-        model = counter_model()
-        checker.check(model, CheckRequest(formula="F (c = 3)"))
-        fresh = checker.check(model, CheckRequest(formula="F (c = 3)",
-                                                  use_cache=False))
-        assert not fresh.from_cache
-
     def test_export_smv(self):
         text = ModelChecker().export_smv(counter_model(), CheckRequest(
             formula="G (c <= 3)", name="bound"))
@@ -92,18 +84,6 @@ class TestModelCheckerFacade:
 
 
 class TestWireForms:
-    def test_check_request_round_trip(self):
-        request = CheckRequest(formula="G (c < 3)", name="p",
-                               threat_digest="td", use_cache=False)
-        payload = json.loads(json.dumps(request.to_dict()))
-        assert "schema_version" in payload
-        assert "strategy" not in payload
-        restored = CheckRequest.from_dict(payload)
-        assert restored == request
-        # Payloads from before the engine choice was removed still load.
-        assert CheckRequest.from_dict(
-            dict(payload, strategy="materialised")) == request
-
     def test_check_result_round_trip(self):
         result = ModelChecker().check_formula(
             counter_model(), parse_ltl("G (c < 3)", ["c"]), "p")

@@ -50,6 +50,46 @@ class TestJobIdentity:
         with pytest.raises(StoreError):
             implementation_fingerprint("huawei")
 
+    #: job digests computed before the CEGAR budget became a constant;
+    #: the store keys every stored report by these, so they must not move
+    GOLDEN = {
+        ("reference", None): "3fbce70fcee60b8105f4ef5df123c9a6"
+                             "94e79f0a2c085284205e5229cf383715",
+        ("srsue", None): "3428261d7f62dbe1f807baf81c02884e"
+                         "f75585c6b2c4e7925a535c2724f936c5",
+        ("oai", None): "0b97b0948bb95f2441c4094272ce1f36"
+                       "f690f25b641b49a7a05359b1ce10b148",
+        ("reference", ("SEC-01", "PRIV-02")):
+            "8ad462a70f1564a2722213a2469a68bb"
+            "679ddf7a20c881551ff6753d49b6a2bb",
+        ("srsue", ("SEC-01", "PRIV-02")):
+            "0c920c29106bc79b995ec77108ea136e"
+            "6c27ddc73b007d8fff4a469625c86cc0",
+        ("oai", ("SEC-01", "PRIV-02")):
+            "25c7f1986b75843fc9f2199fc2c54e7c"
+            "377a4d0eefc7f27215bda2bae5e82b79",
+    }
+
+    @pytest.mark.parametrize("implementation, property_ids", sorted(
+        GOLDEN, key=repr))
+    def test_digest_is_pinned(self, implementation, property_ids):
+        config = AnalysisConfig(
+            implementation, property_ids=(list(property_ids)
+                                          if property_ids else None))
+        assert job_digest(config) \
+            == self.GOLDEN[(implementation, property_ids)]
+
+    def test_payload_with_iteration_budget_keeps_its_digest(self):
+        """Payloads written while the CEGAR budget was a config field
+        still load, under the same job identity."""
+        payload = AnalysisConfig("srsue", property_ids=SMALL).to_dict()
+        assert "max_cegar_iterations" not in payload
+        old = AnalysisConfig.from_dict(dict(payload,
+                                            max_cegar_iterations=8))
+        assert old == AnalysisConfig.from_dict(payload)
+        assert job_digest(old) == job_digest(
+            AnalysisConfig.from_dict(payload))
+
     def test_catalog_digest_covers_threat_config(self):
         assert (catalog_digest(AnalysisConfig("srsue", property_ids=SMALL))
                 != catalog_digest(AnalysisConfig("srsue",

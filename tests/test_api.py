@@ -7,6 +7,8 @@ import repro.api as api
 import repro.core
 import repro.core.engine
 import repro.core.report
+import repro.cpv
+import repro.cpv.equivalence
 import repro.fuzz
 import repro.mc
 import repro.mc.buchi
@@ -50,7 +52,19 @@ REMOVED = [
     (repro.mc.BuchiAutomaton, "state_satisfies"),
     (repro.mc.Expr, "compile"),
     (repro.mc.Atom, "compile"),
-]
+    (repro.mc.CheckRequest, "use_cache"),
+    (repro.mc.CheckRequest, "to_dict"),
+    (repro.core.engine.ImplementationRun, "max_iterations"),
+    (repro.cpv.equivalence, "linkability_experiment"),
+    (repro.cpv, "queries"),
+    (repro.cpv, "protocol"),
+] + [(repro.cpv, name) for name in (
+    "EVENT_CLAIM", "EVENT_RECV", "EVENT_SEND", "Event", "ProtocolError",
+    "ProtocolTrace", "ACTION_DROP", "ACTION_INJECT", "ACTION_MODIFY",
+    "ACTION_PASS", "ACTION_REPLAY", "ACTION_SNIFF", "AdversaryAction",
+    "FeasibilityVerdict", "QueryResult", "check_action_feasible",
+    "check_correspondence", "check_counterexample_feasibility",
+    "check_secrecy", "linkability_experiment")]
 
 
 class TestFacade:

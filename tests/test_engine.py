@@ -312,7 +312,8 @@ class TestAnalysisConfig:
 
     @pytest.mark.parametrize("removed", [
         "properties", "cases", "use_extraction_cache",
-        "share_cegar_inputs", "max_group_retries", "retry_backoff_seconds"])
+        "share_cegar_inputs", "max_group_retries", "retry_backoff_seconds",
+        "max_cegar_iterations"])
     def test_removed_option_is_rejected(self, removed):
         # The wire form ignores these keys (older payloads still load);
         # a caller passing one directly is told at once.

@@ -2,9 +2,20 @@
 
 import pytest
 
-from repro.testbed import run_attack
+from repro.cpv.terms import Atom, KIND_DATA
+from repro.lte import constants as c
+from repro.lte.messages import message_name
+from repro.testbed import Testbed, run_attack
+from repro.testbed.experiments import _channel_knowledge
 
 IMPLEMENTATIONS = ("reference", "srsue", "oai")
+
+#: the honest attach exchange, in link order
+ATTACH_EXCHANGE = [
+    c.ATTACH_REQUEST, c.AUTHENTICATION_REQUEST, c.AUTHENTICATION_RESPONSE,
+    c.SECURITY_MODE_COMMAND, c.SECURITY_MODE_COMPLETE, c.ATTACH_ACCEPT,
+    c.ATTACH_COMPLETE,
+]
 
 #: experiments whose property is VERIFIED (violated=False) everywhere
 VERIFIED_EVERYWHERE = (
@@ -14,6 +25,34 @@ VERIFIED_EVERYWHERE = (
     "GUTI-reattach",
     "ATTACH-replay-indistinguishable",
 )
+
+
+def attached(implementation):
+    testbed = Testbed(implementation)
+    station = testbed.add_ue("victim")
+    testbed.attach_all()
+    return testbed, station
+
+
+class TestRealAttach:
+    """The channel the secrecy experiments reason about."""
+
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_link_history_is_the_attach_exchange(self, implementation):
+        """Each milestone follows its cause: the UE answers a challenge,
+        security mode completes before the accept, and registration
+        completes after the network accepts."""
+        _testbed, station = attached(implementation)
+        assert [message_name(record.frame)
+                for record in station.link.history] == ATTACH_EXCHANGE
+
+    @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
+    def test_channel_knowledge_holds_the_imsi(self, implementation):
+        """Positive control for the secrecy experiments: what crossed
+        the channel IS derivable (the IMSI travels in the attach)."""
+        testbed, station = attached(implementation)
+        imsi = Atom(f"imsi:{station.subscriber.imsi}", KIND_DATA)
+        assert _channel_knowledge(testbed, "victim").can_construct(imsi)
 
 
 class TestSecrecyExperiments:
